@@ -88,8 +88,12 @@ void BM_MonitorObserve(benchmark::State& state) {
     pages.push_back(rng.NextBounded(131072));
   }
   std::size_t cursor = 0;
+  Tick now = 0;
   for (auto _ : state) {
-    monitor.BeginProbe();
+    // Each iteration is one armed probe: its tick's charge plus the
+    // attribution of every unseen in-flight transfer.
+    now += config.sampling_interval;
+    monitor.ChargeProbesThrough(now);
     for (int i = 0; i < in_flight; ++i) {
       const std::uint64_t page = pages[cursor++ % pages.size()];
       monitor.ObserveTransfer(page, static_cast<int>(page % 16));
@@ -153,7 +157,8 @@ class ArtifactReporter : public benchmark::ConsoleReporter {
     Json artifact = Json::Object();
     artifact.Set("artifact", "BENCH_monitor");
     artifact.Set("kernel",
-                 "occupancy probes + sample-guided splits + density merge");
+                 "armed occupancy probes + sample-guided splits + density "
+                 "merge");
 #ifdef NDEBUG
     artifact.Set("build_type", "Release");
 #else

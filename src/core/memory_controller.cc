@@ -81,11 +81,12 @@ MemoryController::MemoryController(Simulator* simulator,
   if (config.dma.pl.enabled) ScheduleLayoutInterval();
 
   if (config.monitor.enabled) {
+    // Sampling ticks are the multiples of sampling_interval since time 0.
+    DMASIM_EXPECTS(simulator->Now() == 0);
     // dmasim-lint: allow(heap-alloc) -- one-time construction.
     monitor_ = std::make_unique<RegionMonitor>(config_.monitor,
                                                config.TotalPages(),
                                                config.chips);
-    ScheduleMonitorSample();
     ScheduleMonitorAggregation();
   }
 }
@@ -100,6 +101,11 @@ std::uint64_t MemoryController::StartDmaTransfer(int bus,
   DMASIM_EXPECTS(bus >= 0 && bus < bus_count());
   DMASIM_EXPECTS(logical_page < page_to_chip_.size());
   DMASIM_EXPECTS(bytes > 0);
+
+  // The new transfer starts unseen: make sure a probe samples it at the
+  // next tick. Armed first, so the probe precedes every event this
+  // transfer schedules at that tick.
+  if (monitor_ != nullptr && !probe_armed_) ArmMonitorProbe();
 
   // The new transfer contends for the bus: any coalesced run there no
   // longer owns it exclusively.
@@ -485,21 +491,33 @@ void MemoryController::ScheduleLayoutInterval() {
                             [this]() { RunLayoutInterval(); });
 }
 
-void MemoryController::ScheduleMonitorSample() {
-  simulator_->ScheduleAfter(config_.monitor.sampling_interval, [this]() {
+void MemoryController::ArmMonitorProbe() {
+  probe_armed_ = true;
+  const Tick interval = config_.monitor.sampling_interval;
+  const Tick tick = (simulator_->Now() / interval + 1) * interval;
+  simulator_->ScheduleAt(tick, [this]() {
+    probe_armed_ = false;
+    // Charge every tick since the last charge, this one included. The
+    // skipped ticks had no unseen transfer in flight (one would have
+    // armed this probe earlier), so they only cost their probe; each
+    // counts as the event a per-tick probe would have executed, and this
+    // event's own count is one of them.
+    simulator_->CreditExecuted(
+        monitor_->ChargeProbesThrough(simulator_->Now()));
+    simulator_->UncountExecuted();
     // Occupancy probe: attribute each in-flight transfer not yet seen by
     // an earlier probe to its region (edge-triggered; see DmaTransfer).
     // Invisible to the simulated hardware, so coalesced runs need no
     // settling — the kernel's pending-event horizon guarantees that any
     // transfer completing before this event has already been released,
-    // and a mid-run descriptor's page/chip fields are stable.
-    monitor_->BeginProbe();
+    // and a mid-run descriptor's page/chip fields are stable. Afterwards
+    // every in-flight transfer is seen, so nothing re-arms until the
+    // next transfer starts.
     pool_.ForEachActive([this](DmaTransfer& transfer) {
       if (transfer.monitor_seen) return;
       transfer.monitor_seen = true;
       monitor_->ObserveTransfer(transfer.physical_page, transfer.chip_index);
     });
-    ScheduleMonitorSample();
   });
 }
 
@@ -576,6 +594,12 @@ EnergyBreakdown MemoryController::CollectEnergy() {
   // Reading results after RunUntil(T): events at exactly T have executed,
   // so the replay bound is T + 1 (issue/completion at T are in the past).
   SettleAllRuns(simulator_->Now() + 1);
+  if (monitor_ != nullptr) {
+    // Ticks since the last probe saw nothing new: charge them, and count
+    // the probe events a per-tick monitor would have executed for them.
+    simulator_->CreditExecuted(
+        monitor_->ChargeProbesThrough(simulator_->Now()));
+  }
   EnergyBreakdown total;
   for (auto& chip : chips_) {
     chip->SyncAccounting();

@@ -210,7 +210,9 @@ class MemoryController : public DmaRequestSink {
   void ScheduleEpoch();
   void ScheduleLayoutInterval();
   void RunLayoutInterval();
-  void ScheduleMonitorSample();
+  // Schedules the access monitor's occupancy probe at the first sampling
+  // tick strictly after Now(). The probe does not re-arm itself.
+  void ArmMonitorProbe();
   void ScheduleMonitorAggregation();
 
   // --- Chunk-run coalescing ----------------------------------------------
@@ -244,6 +246,8 @@ class MemoryController : public DmaRequestSink {
   PopularityTracker popularity_;
   LayoutManager layout_;
   std::unique_ptr<RegionMonitor> monitor_;  // Null when disabled.
+  // A probe event is pending (armed by a transfer that started unseen).
+  bool probe_armed_ = false;
 
   TransferPool pool_;
   std::uint64_t next_transfer_id_ = 1;

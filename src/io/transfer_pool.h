@@ -51,15 +51,21 @@ class TransferPool {
 
   // Visits every checked-out descriptor in slab order (deterministic:
   // slabs and slots are visited by allocation order, independent of the
-  // free-list state). This is the access monitor's occupancy probe; the
-  // paper's workloads keep at most a few dozen descriptors in flight, so
-  // the walk touches one slab and is cheap enough for a per-microsecond
-  // sampling event. Non-const so the probe can mark descriptors seen.
+  // free-list state). This is the access monitor's occupancy probe, run
+  // once per armed sampling tick. The free list hands out a slot past
+  // the peak in-flight count only when every earlier slot is in use, so
+  // the walk stops at the last active descriptor after at most that many
+  // slots (a few dozen at the paper's intensities). Non-const so the
+  // probe can mark descriptors seen; `fn` must not acquire or release.
   template <typename Fn>
   void ForEachActive(Fn&& fn) {
+    std::uint64_t left = active_;
     for (const std::unique_ptr<DmaTransfer[]>& block : blocks_) {
-      for (std::size_t i = 0; i < kBlockSize; ++i) {
-        if (block[i].pool_active) fn(block[i]);
+      for (std::size_t i = 0; i < kBlockSize && left > 0; ++i) {
+        if (block[i].pool_active) {
+          --left;
+          fn(block[i]);
+        }
       }
     }
   }

@@ -66,7 +66,7 @@ void MemoryChip::Enqueue(ChipRequest request) {
     // Idle active chip, empty queues: StartNextService would pop back
     // this very request, so serve it directly without the deque
     // round-trip. This is the common case on an uncontended chip.
-    ServeRequest(std::move(request));
+    ServeRequest(std::move(request), /*retire_inline=*/false);
     return;
   }
   switch (request.kind) {
@@ -82,7 +82,7 @@ void MemoryChip::Enqueue(ChipRequest request) {
   }
   if (serving_ || fsm_.transitioning()) return;  // Picked up on completion.
   if (fsm_.state() == PowerState::kActive) {
-    StartNextService();
+    StartNextService(/*retire_inline=*/false);
   } else {
     StartWake();
   }
@@ -116,12 +116,12 @@ void MemoryChip::EndTransfer() {
   }
 }
 
-void MemoryChip::StartNextService() {
+void MemoryChip::StartNextService(bool retire_inline) {
   DMASIM_CHECK(!serving_ && !fsm_.transitioning());
   DMASIM_CHECK_EQ(fsm_.state(), PowerState::kActive);
   DMASIM_CHECK(HasQueuedRequest());
 
-  ServeRequest(PopNextRequest());
+  ServeRequest(PopNextRequest(), retire_inline);
 }
 
 ChipRequest MemoryChip::PopNextRequest() {
@@ -158,7 +158,7 @@ void MemoryChip::SwitchToServingAccounting(RequestKind kind, ByteCount bytes) {
   }
 }
 
-void MemoryChip::ServeRequest(ChipRequest request) {
+void MemoryChip::ServeRequest(ChipRequest request, bool retire_inline) {
   serving_ = true;
   AccountTo(simulator_->Now());
   SwitchToServingAccounting(request.kind, request.bytes);
@@ -171,8 +171,15 @@ void MemoryChip::ServeRequest(ChipRequest request) {
   // chain here folds N back-to-back queued services into one scheduled
   // event while producing identical energy accounting, stats, and
   // (time, seq) ordering for every surviving event.
+  //
+  // The horizon is only a horizon if nothing runs after this call within
+  // the current event: a completion callback that runs later (ServeDone)
+  // or an Enqueue caller can schedule work earlier than the sampled
+  // NextPendingTick() and find this chip's queue already retired. So the
+  // caller grants `retire_inline` only where serving is the last thing
+  // its event does.
   Tick issue = simulator_->Now();
-  if (!request.on_complete && HasQueuedRequest()) {
+  if (retire_inline && !request.on_complete && HasQueuedRequest()) {
     const Tick horizon = simulator_->NextPendingTick();
     std::uint64_t batched = 0;
     while (!request.on_complete && HasQueuedRequest()) {
@@ -223,7 +230,9 @@ void MemoryChip::ServeDone() {
   }
 
   if (HasQueuedRequest()) {
-    StartNextService();
+    // The callback below runs after the next service starts, so the next
+    // service may retire inline only if there is no callback.
+    StartNextService(/*retire_inline=*/!request.on_complete);
   } else {
     BecomeIdleActive();
   }
@@ -406,7 +415,7 @@ void MemoryChip::TransitionDone() {
     ++stats_.wakeups;
     DMASIM_CHECK_EQ(fsm_.state(), PowerState::kActive);
     if (HasQueuedRequest()) {
-      StartNextService();
+      StartNextService(/*retire_inline=*/true);
     } else {
       BecomeIdleActive();
     }

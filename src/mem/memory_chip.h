@@ -175,10 +175,13 @@ class MemoryChip {
   static PowerState RestingState(const LowPowerPolicy& policy);
 
  private:
-  void StartNextService();
+  // `retire_inline` allows ServeRequest to retire a chain of queued
+  // callback-free requests without events; only callers whose event ends
+  // right after the call may grant it (see ServeRequest).
+  void StartNextService(bool retire_inline);
   ChipRequest PopNextRequest();
   void SwitchToServingAccounting(RequestKind kind, ByteCount bytes);
-  void ServeRequest(ChipRequest request);
+  void ServeRequest(ChipRequest request, bool retire_inline);
   void ServeDone();
   void BecomeIdleActive();
   void ArmPolicyTimer();

@@ -67,13 +67,17 @@ struct SchemeRule {
 struct MonitorConfig {
   bool enabled = false;
 
-  // Cadence of occupancy probes: at every sampling tick the monitor
-  // walks the in-flight DMA transfer descriptors and attributes one hit
-  // to the region containing each transfer not seen by an earlier probe
-  // (edge-triggered presence sampling). A transfer counts once no matter
-  // how long it stays queued, so counters estimate access frequency, not
-  // bus congestion; transfers shorter than the sampling interval can be
-  // missed — that is the sampling error traded for overhead.
+  // Cadence of occupancy probes: sampling ticks are the multiples of this
+  // interval. At a tick the monitor walks the in-flight DMA transfer
+  // descriptors and attributes one hit to the region containing each
+  // transfer not seen by an earlier probe (edge-triggered presence
+  // sampling). A transfer counts once no matter how long it stays
+  // queued, so counters estimate access frequency, not bus congestion;
+  // transfers shorter than the sampling interval can be missed — that is
+  // the sampling error traded for overhead. A probe event runs only at
+  // the first tick after a transfer starts unseen; the other ticks find
+  // nothing new and are charged without running (RegionMonitor::
+  // ChargeProbesThrough).
   Tick sampling_interval = 1 * kMicrosecond;
 
   // Cadence of aggregation: region aging, cold-region merging, and

@@ -64,9 +64,14 @@ std::size_t RegionMonitor::RegionIndexOf(std::uint64_t page) const {
   return static_cast<std::size_t>(it - regions_.begin()) - 1;
 }
 
-void RegionMonitor::BeginProbe() {
-  ++stats_.probes;
-  stats_.busy_ticks += config_.probe_cost;
+std::uint64_t RegionMonitor::ChargeProbesThrough(Tick now) {
+  DMASIM_EXPECTS(now >= 0);
+  const auto due = static_cast<std::uint64_t>(now / config_.sampling_interval);
+  DMASIM_CHECK_GE(due, stats_.probes);
+  const std::uint64_t charged = due - stats_.probes;
+  stats_.probes = due;
+  stats_.busy_ticks += static_cast<Tick>(charged) * config_.probe_cost;
+  return charged;
 }
 
 void RegionMonitor::ObserveTransfer(std::uint64_t page, int chip) {

@@ -3,7 +3,7 @@
 // Why not accessed-bit sampling: dmasim's workloads drive tens of DMA
 // transfers per millisecond across ~10^5 pages, so any per-page presence
 // check observes almost nothing. Instead the monitor runs *occupancy
-// probes*: at every sampling tick it walks the in-flight DMA transfer
+// probes*: at a sampling tick it walks the in-flight DMA transfer
 // descriptors (a few dozen at the paper's intensities, since queueing
 // keeps transfers checked out far longer than their service time) and
 // attributes one hit to the region containing each transfer's page.
@@ -12,6 +12,11 @@
 // rather than queue residency; transfers shorter than the sampling
 // interval can be missed, which is the sampling error traded for
 // overhead.
+//
+// Probes are event-driven: the controller arms one only when a transfer
+// starts and none is pending, so only ticks that can see an unseen
+// transfer execute. Every tick still costs its probe: ChargeProbesThrough
+// bills all ticks up to a time in closed form.
 //
 // Why sample-guided splits: the workload generator scatters popular
 // pages over the page space by a multiplicative hash permutation
@@ -86,8 +91,11 @@ class RegionMonitor {
 
   // --- Sampling (called from the controller's probe event) ---------------
 
-  // Opens one occupancy probe (charges the fixed probe cost).
-  void BeginProbe();
+  // Charges the fixed probe cost for every sampling tick (the multiples
+  // of sampling_interval) up to and including `now` not charged yet, so
+  // that afterwards probes = floor(now / sampling_interval). Returns the
+  // number of ticks newly charged.
+  std::uint64_t ChargeProbesThrough(Tick now);
   // Attributes one newly seen in-flight transfer at `page` on `chip` to
   // its region, splitting the region at the sample when the budget
   // allows. The caller is responsible for the once-per-transfer

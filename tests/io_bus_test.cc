@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "io/dma_transfer.h"
+#include "io/transfer_pool.h"
 #include "sim/simulator.h"
 
 namespace dmasim {
@@ -199,6 +200,37 @@ TEST(IoBusChunkConfigTest, PciXDefaultsTwelveCyclesPerEightBytes) {
   EXPECT_EQ(bus.SlotTime(), 12 * 625);
   EXPECT_EQ(bus.id(), 3);
   EXPECT_EQ(bus.chunk_bytes(), 8);
+}
+
+TEST(TransferPoolTest, ForEachActiveVisitsEveryActiveDescriptorInSlabOrder) {
+  // 300 descriptors span two 256-descriptor slabs; release every third
+  // one plus a tail so the active set has holes in both slabs.
+  TransferPool pool;
+  std::vector<DmaTransfer*> acquired;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    acquired.push_back(pool.Acquire());
+    acquired.back()->id = i;
+  }
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    if (i % 3 == 0 || i >= 290) {
+      pool.Release(acquired[i]);
+    } else {
+      expected.push_back(i);
+    }
+  }
+  // Reuse takes the most recently released descriptor (slot 299) and
+  // visits it at its slab position.
+  DmaTransfer* reused = pool.Acquire();
+  EXPECT_EQ(reused, acquired[299]);
+  reused->id = 1000;
+  expected.push_back(1000);
+
+  std::vector<std::uint64_t> visited;
+  pool.ForEachActive(
+      [&visited](DmaTransfer& transfer) { visited.push_back(transfer.id); });
+  EXPECT_EQ(visited, expected);
+  EXPECT_EQ(visited.size(), pool.ActiveCount());
 }
 
 }  // namespace

@@ -140,6 +140,34 @@ TEST_F(ChipFixture, MigrationHasLowestPriority) {
   EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 1}));
 }
 
+TEST_F(ChipFixture, InlineRetirementKeepsDmaPriorityOverMigration) {
+  // A 512 B DMA chunk (160 ns of service) whose completion schedules the
+  // transfer's next chunk 100 ns later, with eight migration copies
+  // queued behind it. Event by event: chunk 1 [0, 160), copy 1
+  // [160, 320), chunk 2 arrives at 260 and outranks the remaining copies,
+  // so it is served [320, 480). Retiring the copies inline when chunk 1
+  // completes would put chunk 2 behind all eight of them.
+  MemoryChip chip(&simulator_, &chip_model_, &active_policy_, 0);
+  Tick second_done = -1;
+  chip.Enqueue(ChipRequest{
+      RequestKind::kDma, ByteCount(512),
+      [this, &chip, &second_done](Tick done) {
+        simulator_.ScheduleAt(done + 100 * kNanosecond, [&chip,
+                                                         &second_done]() {
+          chip.Enqueue(ChipRequest{
+              RequestKind::kDma, ByteCount(512),
+              [&second_done](Tick when) { second_done = when; }});
+        });
+      }});
+  for (int i = 0; i < 8; ++i) {
+    chip.Enqueue(ChipRequest{RequestKind::kMigration, ByteCount(512), {}});
+  }
+  simulator_.Run();
+  EXPECT_EQ(second_done, 480 * kNanosecond);
+  EXPECT_EQ(chip.stats().migration_requests, 8u);
+  EXPECT_EQ(chip.stats().dma_requests, 2u);
+}
+
 TEST_F(ChipFixture, MigrationEnergyGoesToMigrationBucket) {
   MemoryChip chip(&simulator_, &chip_model_, &active_policy_, 0);
   chip.Enqueue(ChipRequest{RequestKind::kMigration, ByteCount(8192), {}});

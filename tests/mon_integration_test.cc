@@ -3,6 +3,7 @@
 // popularity estimate must recover at least 90% of the energy saving the
 // oracle tracker achieves, at no more than 1% simulated monitoring
 // overhead -- and a monitored run must be exactly reproducible.
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -154,6 +155,68 @@ TEST(MonitorDeterminismTest, MonitoredRunIsReproducible) {
   EXPECT_EQ(a.monitor.scheme_matches, b.monitor.scheme_matches);
   EXPECT_EQ(a.monitor.overhead_fraction, b.monitor.overhead_fraction);
   EXPECT_EQ(a.monitor.hotness_error, b.monitor.hotness_error);
+}
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(MonitorDeterminismTest, PinnedMonitoredRunIsStable) {
+  // Byte-level anchor for the monitor's sampling machinery: one monitored
+  // OLTP-St run whose energy buckets, mean client response, logical event
+  // count and every MonitorSummary field are pinned to the bit. The pins
+  // were recorded with one probe event per sampling tick; the armed
+  // probes must reproduce them (only stepped_events and the calendar
+  // counters may move).
+  WorkloadSpec spec = OltpStorageSpec();
+  spec.duration = 60 * kMillisecond;
+  const Trace trace = GenerateWorkload(spec);
+
+  SimulationOptions options;
+  options.memory.dma.ta.enabled = true;
+  options.memory.dma.ta.mu = 2.0;
+  options.memory.dma.pl.enabled = true;
+  const SimulationOptions monitored = MonitoredOptions(options);
+  const SimulationResults r = RunTrace(trace, spec.miss_ratio, spec.duration,
+                                       monitored, spec.name);
+
+  // Closed form, on every compiler: one probe per sampling tick.
+  EXPECT_EQ(r.monitor.probes,
+            static_cast<std::uint64_t>(
+                r.duration / monitored.memory.monitor.sampling_interval));
+  EXPECT_GT(r.controller.migrations, 0u);
+
+#if defined(__GNUC__) && !defined(__clang__)
+  // Compiler-gated for the same reason as the pinned sweep checksum
+  // (exp_determinism_test.cc): other compilers may legally round doubles
+  // differently in the last bit.
+  constexpr std::uint64_t kEnergyBits[kEnergyBucketCount] = {
+      0x3f636f2ec825ae84ULL, 0x3f75382cec789c94ULL, 0x3ee8a3f6fbdb9449ULL,
+      0x3f2b588c004f6b59ULL, 0x3f7f682db1d14ccdULL, 0x3f25be4711d12713ULL};
+  for (int i = 0; i < kEnergyBucketCount; ++i) {
+    const auto bucket = static_cast<EnergyBucket>(i);
+    EXPECT_EQ(Bits(r.energy.Of(bucket).joules()), kEnergyBits[i])
+        << "energy bucket " << EnergyBucketName(bucket) << " = " << std::hex
+        << Bits(r.energy.Of(bucket).joules());
+  }
+  EXPECT_EQ(Bits(r.client_response.Mean()), 0x41ee905733ab7b52ULL)
+      << std::hex << Bits(r.client_response.Mean());
+  EXPECT_EQ(r.executed_events, 195426u);
+
+  const MonitorSummary& m = r.monitor;
+  EXPECT_TRUE(m.enabled);
+  EXPECT_EQ(m.regions, 1024);
+  EXPECT_EQ(m.probes, 70000u);
+  EXPECT_EQ(m.observations, 3089u);
+  EXPECT_EQ(m.splits, 1630u);
+  EXPECT_EQ(m.merges, 2264u);
+  EXPECT_EQ(m.aggregations, 35u);
+  EXPECT_EQ(m.scheme_matches, 359u);
+  EXPECT_EQ(m.demotions_requested, 0u);
+  EXPECT_EQ(m.demotions_applied, 0u);
+  EXPECT_EQ(Bits(m.overhead_fraction), 0x3f7a930a8f689f82ULL)
+      << std::hex << Bits(m.overhead_fraction);
+  EXPECT_EQ(Bits(m.hotness_error), 0x3fd8085543bdddedULL)
+      << std::hex << Bits(m.hotness_error);
+#endif
 }
 
 }  // namespace

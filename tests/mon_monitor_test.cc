@@ -61,7 +61,6 @@ TEST(RegionMonitorTest, UnevenPagesStillTileExactly) {
 
 TEST(RegionMonitorTest, ObservationIsolatesSampledPage) {
   RegionMonitor monitor(SmallConfig(), kPages, kChips);
-  monitor.BeginProbe();
   monitor.ObserveTransfer(10, 0);
   ExpectTiling(monitor);
 
@@ -310,7 +309,7 @@ TEST(RegionMonitorTest, OverheadAccountChargesConfiguredCosts) {
   config.observe_cost = 5;
   config.region_cost = 1;
   RegionMonitor monitor(config, kPages, kChips);
-  monitor.BeginProbe();
+  EXPECT_EQ(monitor.ChargeProbesThrough(config.sampling_interval), 1u);
   monitor.ObserveTransfer(10, 0);
   monitor.ObserveTransfer(11, 0);
   // 1 probe + 2 observations = 20 ticks; 4-ish regions per aggregation.
@@ -320,6 +319,24 @@ TEST(RegionMonitorTest, OverheadAccountChargesConfiguredCosts) {
   EXPECT_GT(monitor.stats().busy_ticks, before_aggregate);
   EXPECT_GT(monitor.OverheadFraction(10000), 0.0);
   EXPECT_EQ(monitor.OverheadFraction(0), 0.0);
+}
+
+TEST(RegionMonitorTest, ProbesAreChargedInClosedForm) {
+  MonitorConfig config = SmallConfig();
+  config.sampling_interval = 100;
+  config.probe_cost = 3;
+  RegionMonitor monitor(config, kPages, kChips);
+  // Between ticks: ticks 100 and 200.
+  EXPECT_EQ(monitor.ChargeProbesThrough(250), 2u);
+  // On a tick: the tick itself is charged.
+  EXPECT_EQ(monitor.ChargeProbesThrough(400), 2u);
+  EXPECT_EQ(monitor.stats().probes, 4u);
+  EXPECT_EQ(monitor.stats().busy_ticks, 4 * 3);
+  // Charging again before the next tick charges nothing.
+  EXPECT_EQ(monitor.ChargeProbesThrough(400), 0u);
+  EXPECT_EQ(monitor.ChargeProbesThrough(499), 0u);
+  EXPECT_EQ(monitor.stats().probes, 4u);
+  EXPECT_EQ(monitor.stats().busy_ticks, 4 * 3);
 }
 
 TEST(RegionMonitorTest, HitCountersPinInsteadOfWrapping) {
@@ -346,10 +363,12 @@ TEST(MonitorDeterminismTest, IdenticalSamplesIdenticalRegions) {
   RegionMonitor a(config, kPages, kChips);
   RegionMonitor b(config, kPages, kChips);
   const std::uint64_t samples[] = {3, 40, 3, 62, 17, 3, 40, 0, 63, 31, 3};
+  Tick now = 0;
   for (int round = 0; round < 3; ++round) {
     for (std::uint64_t page : samples) {
-      a.BeginProbe();
-      b.BeginProbe();
+      now += config.sampling_interval;
+      a.ChargeProbesThrough(now);
+      b.ChargeProbesThrough(now);
       a.ObserveTransfer(page, static_cast<int>(page) % kChips);
       b.ObserveTransfer(page, static_cast<int>(page) % kChips);
     }

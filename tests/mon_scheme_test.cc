@@ -3,6 +3,7 @@
 // diagnostic naming the 1-based line it came from.
 #include "mon/scheme_parser.h"
 
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -86,9 +87,15 @@ TEST(SchemeParserTest, RuleMatchingIsInclusiveOnBothEnds) {
 // diagnostics do not survive contact with a 30-line file.
 
 struct BadScheme {
+  const char* name;
   const char* text;
   const char* expected_fragment;
 };
+
+// Prints the case name. Without it gtest dumps the struct's pointer bytes,
+// and the test names discovered from that dump change with every load
+// address.
+void PrintTo(const BadScheme& bad, std::ostream* os) { *os << bad.name; }
 
 class SchemeParserRejectionTest
     : public ::testing::TestWithParam<BadScheme> {};
@@ -106,47 +113,63 @@ INSTANTIATE_TEST_SUITE_P(
     Malformed, SchemeParserRejectionTest,
     ::testing::Values(
         // Too few fields.
-        BadScheme{"1 1 8 *\n", "at line 1: expected 6 fields"},
+        BadScheme{"TooFewFields",
+                  "1 1 8 *\n", "at line 1: expected 6 fields"},
         // Trailing garbage after a complete rule.
-        BadScheme{"1 1 8 * 0 migrate-hot extra\n",
+        BadScheme{"TrailingGarbage",
+                  "1 1 8 * 0 migrate-hot extra\n",
                   "at line 1: trailing garbage 'extra'"},
         // Out-of-order ranges.
-        BadScheme{"4 2 0 * 0 pin-cold\n",
+        BadScheme{"SizeRangeOutOfOrder",
+                  "4 2 0 * 0 pin-cold\n",
                   "at line 1: size range out of order"},
-        BadScheme{"1 1 9 3 0 migrate-hot\n",
+        BadScheme{"AccessRangeOutOfOrder",
+                  "1 1 9 3 0 migrate-hot\n",
                   "at line 1: access range out of order"},
         // Unknown action.
-        BadScheme{"1 1 8 * 0 promote\n",
+        BadScheme{"UnknownAction",
+                  "1 1 8 * 0 promote\n",
                   "at line 1: unknown action 'promote'"},
         // Non-numeric bounds.
-        BadScheme{"one 1 8 * 0 migrate-hot\n", "at line 1: bad size range"},
-        BadScheme{"1 1 8 * never migrate-hot\n",
+        BadScheme{"NonNumericSize",
+                  "one 1 8 * 0 migrate-hot\n", "at line 1: bad size range"},
+        BadScheme{"NonNumericAge",
+                  "1 1 8 * never migrate-hot\n",
                   "at line 1: bad age bound"},
-        BadScheme{"1 1 -3 * 0 migrate-hot\n",
+        BadScheme{"NegativeAccess",
+                  "1 1 -3 * 0 migrate-hot\n",
                   "at line 1: bad access range"},
         // Decimal overflow is rejected, not wrapped.
-        BadScheme{"1 99999999999999999999 0 * 0 pin-cold\n",
+        BadScheme{"SizeOverflow",
+                  "1 99999999999999999999 0 * 0 pin-cold\n",
                   "at line 1: bad size range"},
         // Demote depth must be a positive number...
-        BadScheme{"* * 0 0 8 demote-chip:0\n",
+        BadScheme{"DemoteDepthZero",
+                  "* * 0 0 8 demote-chip:0\n",
                   "at line 1: bad demote depth '0'"},
-        BadScheme{"* * 0 0 8 demote-chip:two\n",
+        BadScheme{"DemoteDepthNonNumeric",
+                  "* * 0 0 8 demote-chip:two\n",
                   "at line 1: bad demote depth 'two'"},
-        BadScheme{"* * 0 0 8 demote-chip:\n",
+        BadScheme{"DemoteDepthEmpty",
+                  "* * 0 0 8 demote-chip:\n",
                   "at line 1: bad demote depth ''"},
         // ...and only demote-chip takes one.
-        BadScheme{"1 1 8 * 0 migrate-hot:2\n",
+        BadScheme{"DepthOnMigrateHot",
+                  "1 1 8 * 0 migrate-hot:2\n",
                   "at line 1: depth suffix is only valid for demote-chip"},
-        BadScheme{"64 * 0 1 4 pin-cold:1\n",
+        BadScheme{"DepthOnPinCold",
+                  "64 * 0 1 4 pin-cold:1\n",
                   "at line 1: depth suffix is only valid for demote-chip"},
         // The diagnostic points at the offending line, not line 1:
         // comments and valid rules above it still count.
-        BadScheme{"# header\n"
+        BadScheme{"ErrorOnLineFour",
+                  "# header\n"
                   "1 1 8 * 0 migrate-hot\n"
                   "\n"
                   "64 * 0 1 4 pin-cool\n",
                   "at line 4: unknown action 'pin-cool'"},
-        BadScheme{"1 1 8 * 0 migrate-hot\n"
+        BadScheme{"ErrorOnLineTwo",
+                  "1 1 8 * 0 migrate-hot\n"
                   "1 1 8 *\n",
                   "at line 2: expected 6 fields"}));
 

@@ -12,20 +12,19 @@
 //                --seeds 1,2,3 --threads 4 --ndjson
 //   dmasim_sweep --list
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "audit/audit_config.h"
 #include "exp/result_sink.h"
 #include "exp/sweep_runner.h"
 #include "exp/thread_pool.h"
 #include "mon/scheme_parser.h"
-#include "obs/obs_config.h"
 #include "trace/workloads.h"
+#include "util/cli_flags.h"
 
 namespace {
 
@@ -70,11 +69,14 @@ std::vector<std::string> SplitCommas(const std::string& csv) {
   return parts;
 }
 
-[[noreturn]] void Fail(const std::string& message) {
-  std::cerr << "dmasim_sweep: " << message << "\n"
-            << "Run with --help for usage.\n";
-  std::exit(2);
-}
+// Flag domains besides the shared ones in util/cli_flags.h. CP-Limits
+// are degradation fractions; 10 allows an 11x slower client.
+constexpr int kMaxBuses = 1024;
+constexpr double kMaxCpLimit = 10.0;
+
+constexpr FlagParser kFlags("dmasim_sweep");
+
+[[noreturn]] void Fail(const std::string& message) { kFlags.Fail(message); }
 
 void PrintUsage() {
   std::cout <<
@@ -87,12 +89,13 @@ Axes (comma-separated lists; the cross product is the run grid):
                      ta-pl2). Baseline runs once per cell regardless.
                      (default: ta,ta-pl2)
   --cp-limits LIST   client-perceived degradation limits as fractions
-                     (default: 0.10)
+                     in [0, 10] (default: 0.10)
   --policies LIST    dynamic, static-standby, static-nap,
                      static-powerdown, always-active (default: dynamic)
-  --chips LIST       memory chip counts (default: paper's 32)
-  --buses LIST       I/O bus counts (default: paper's 3)
-  --seeds LIST       RNG seeds for replicated runs (default: preset seed)
+  --chips LIST       memory chip counts, 1..4096 (default: paper's 32)
+  --buses LIST       I/O bus counts, 1..1024 (default: paper's 3)
+  --seeds LIST       unsigned 64-bit RNG seeds for replicated runs
+                     (default: preset seed)
   --chip-model NAME  chip power/timing model: rdram (paper Table 1,
                      default), rdram-corrected (origin-aware step-down
                      billing), ddr4 (DDR4-2400 power-down/self-refresh
@@ -100,15 +103,16 @@ Axes (comma-separated lists; the cross product is the run grid):
                      ddr4 excludes static-nap/static-powerdown policies.
 
 Execution:
-  --duration-ms N    simulated milliseconds per run (default: preset)
-  --threads N        worker threads (default: all hardware threads)
+  --duration-ms N    simulated milliseconds per run, 1e-6..3.6e6
+                     (default: preset)
+  --threads N        worker threads, 0..1024 (default 0: all hardware
+                     threads)
   --sim-threads N    worker threads inside each simulation's sharded
-                     event kernel (default: 1 = serial; any value is
-                     bit-identical — see DESIGN.md section 14)
+                     event kernel, 1..1024 (default: 1 = serial; any
+                     value is bit-identical — see DESIGN.md section 14)
   --name NAME        sweep name recorded in the artifact (default: sweep)
-  --audit            run every simulation under the invariant auditor
-                     (abort on violation; needs a library built with
-                     -DDMASIM_AUDIT_LEVEL>=1, see DESIGN.md)
+  --audit            run every simulation under the level-2 invariant
+                     auditor (abort on violation; see DESIGN.md §10)
   --monitor          estimate page popularity online with the region
                      monitor (src/mon) instead of the oracle per-page
                      tracker; scheme labels gain a "+mon" suffix and the
@@ -121,10 +125,9 @@ Output:
   --out PATH         write the full JSON artifact to PATH
   --metrics-out PATH write per-run observability metrics (counters,
                      gauges, histograms) to PATH; enables obs level 1
-                     (needs a library built with -DDMASIM_OBS>=1)
   --trace-out PREFIX write one Chrome/Perfetto trace per run to
-                     PREFIX-run<id>.json; enables obs level 2 (needs
-                     -DDMASIM_OBS>=2; open in https://ui.perfetto.dev)
+                     PREFIX-run<id>.json; enables obs level 2 (open in
+                     https://ui.perfetto.dev)
   --ndjson           stream one compact JSON line per finished run
   --no-table         suppress the human summary table
   --list             print known workloads/schemes/policies and exit
@@ -162,20 +165,10 @@ SchemeSpec SchemeByFlag(const std::string& flag) {
   if (flag == "baseline") return BaselineScheme();
   if (flag == "ta") return TaScheme();
   if (flag.rfind("ta-pl", 0) == 0) {
-    const int groups = std::atoi(flag.c_str() + 5);
-    if (groups < 1) Fail("bad popularity group count in '" + flag + "'");
-    return TaPlScheme(groups);
+    return TaPlScheme(
+        kFlags.Integer("--schemes", flag.substr(5), 1, kMaxChips));
   }
   Fail("unknown scheme '" + flag + "'");
-}
-
-double ParseDouble(const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    Fail("bad number '" + text + "'");
-  }
-  return value;
 }
 
 }  // namespace
@@ -214,7 +207,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--cp-limits") {
       spec.cp_limits.clear();
       for (const std::string& text : SplitCommas(next())) {
-        spec.cp_limits.push_back(ParseDouble(text));
+        spec.cp_limits.push_back(kFlags.Real(arg, text, 0.0, kMaxCpLimit));
       }
     } else if (arg == "--policies") {
       spec.policies.clear();
@@ -223,16 +216,17 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--chips") {
       for (const std::string& text : SplitCommas(next())) {
-        spec.chip_counts.push_back(static_cast<int>(ParseDouble(text)));
+        spec.chip_counts.push_back(kFlags.Integer(arg, text, 1, kMaxChips));
       }
     } else if (arg == "--buses") {
       for (const std::string& text : SplitCommas(next())) {
-        spec.bus_counts.push_back(static_cast<int>(ParseDouble(text)));
+        spec.bus_counts.push_back(kFlags.Integer(arg, text, 1, kMaxBuses));
       }
     } else if (arg == "--seeds") {
       for (const std::string& text : SplitCommas(next())) {
-        spec.seeds.push_back(
-            static_cast<std::uint64_t>(ParseDouble(text)));
+        spec.seeds.push_back(kFlags.Integer(
+            arg, text, std::uint64_t{0},
+            std::numeric_limits<std::uint64_t>::max()));
       }
     } else if (arg == "--chip-model") {
       const std::string name = next();
@@ -242,12 +236,11 @@ int main(int argc, char** argv) {
       }
       spec.base.memory.chip_model = *kind;
     } else if (arg == "--duration-ms") {
-      duration_ms = ParseDouble(next());
+      duration_ms = kFlags.Real(arg, next(), kMinDurationMs, kMaxDurationMs);
     } else if (arg == "--threads") {
-      sweep_options.threads = static_cast<int>(ParseDouble(next()));
+      sweep_options.threads = kFlags.Integer(arg, next(), 0, kMaxThreads);
     } else if (arg == "--sim-threads") {
-      spec.base.sim_threads = static_cast<int>(ParseDouble(next()));
-      if (spec.base.sim_threads < 1) Fail("--sim-threads must be >= 1");
+      spec.base.sim_threads = kFlags.Integer(arg, next(), 1, kMaxThreads);
     } else if (arg == "--name") {
       spec.name = next();
     } else if (arg == "--out") {
@@ -278,16 +271,6 @@ int main(int argc, char** argv) {
   }
 
   if (workload_flags.empty()) Fail("no workloads selected");
-  if (spec.base.audit_level > 0 && kCompiledAuditLevel == 0) {
-    std::cerr << "dmasim_sweep: warning: --audit has no effect, this build "
-                 "has DMASIM_AUDIT_LEVEL=0\n";
-  }
-  if (spec.base.obs_level > kCompiledObsLevel) {
-    std::cerr << "dmasim_sweep: warning: --metrics-out/--trace-out need a "
-                 "library built with -DDMASIM_OBS>="
-              << spec.base.obs_level << ", this build has DMASIM_OBS="
-              << kCompiledObsLevel << "\n";
-  }
   if (!out_path.empty()) {
     // Fail before the sweep runs, not after minutes of simulation.
     std::ofstream probe(out_path, std::ios::app);

@@ -11,52 +11,60 @@
 //   fleet_scenario --sim-threads 8
 //   fleet_scenario --domains 8 --duration-ms 50 --workload dss
 //   fleet_scenario --sim-threads 4 --fingerprint-only
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "server/fleet_driver.h"
 #include "trace/workloads.h"
+#include "util/cli_flags.h"
 
 namespace {
 
 using namespace dmasim;
 
-[[noreturn]] void Fail(const std::string& message) {
-  std::cerr << "fleet_scenario: " << message << "\n"
-            << "Run with --help for usage.\n";
-  std::exit(2);
-}
+// Flag domains besides the shared ones in util/cli_flags.h. The remote
+// hop is also the engine lookahead: at least one nanosecond, at most one
+// simulated hour.
+constexpr int kMaxDomains = 4096;
+constexpr double kMinRemoteLatencyUs = 1e-3;
+constexpr double kMaxRemoteLatencyUs = 3.6e9;
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+constexpr FlagParser kFlags("fleet_scenario");
+
+[[noreturn]] void Fail(const std::string& message) { kFlags.Fail(message); }
 
 void PrintUsage() {
   std::cout <<
       R"(Usage: fleet_scenario [options]
-  --domains N          memory-controller domains / engine shards
-                       (default: 32)
-  --sim-threads N      engine worker threads (default: 1 = serial;
-                       results are bit-identical for any value)
-  --duration-ms N      simulated milliseconds (default: 20)
+  --domains N          memory-controller domains / engine shards,
+                       1..4096 (default: 32)
+  --sim-threads N      engine worker threads, 1..1024 (default: 1 =
+                       serial; results are bit-identical for any value)
+  --duration-ms N      simulated milliseconds, 1e-6..3.6e6 (default: 20)
   --workload NAME      per-domain workload: oltp-st, synth-st, oltp-db,
                        synth-db, dss (default: oltp-st)
-  --chips N            memory chips per domain (default: 32)
-  --streams N          client streams per domain (default: 32768)
-  --remote-fraction F  fraction of streams homed remotely
+  --chips N            memory chips per domain, 1..4096 (default: 32)
+  --streams N          client streams per domain, >= 1 (default: 32768)
+  --remote-fraction F  fraction of streams homed remotely, 0..1
                        (default: 0.05)
-  --remote-latency-us N  one-way fleet hop, also the engine lookahead
-                       (default: 20)
-  --seed N             workload seed (default: preset)
+  --remote-latency-us N  one-way fleet hop, also the engine lookahead,
+                       1e-3..3.6e9 (default: 20)
+  --seed N             unsigned 64-bit workload seed (default: preset)
   --fingerprint-only   print only the run fingerprint (for scripting)
 
 Determinism proof kit (DESIGN.md section 15):
-  --sched-fuzz-seed N  perturb worker scheduling from seed N; requires a
-                       -DDMASIM_SCHED_FUZZ=1 build (the run must stay
-                       bit-identical to seed 0)
+  --sched-fuzz-seed N  perturb worker scheduling from unsigned 64-bit
+                       seed N (the run must stay bit-identical to seed 0)
   --engine-fault NAME  seeded protocol violation: none, skip-barrier-sort,
                        deliver-early (CI divergence checks only)
   --window-digests FILE
@@ -77,13 +85,6 @@ WorkloadSpec WorkloadByFlag(const std::string& flag) {
   if (flag == "synth-db") return SyntheticDatabaseSpec();
   if (flag == "dss") return DssStorageSpec();
   Fail("unknown workload '" + flag + "'");
-}
-
-double ParseDouble(const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') Fail("bad number '" + text + "'");
-  return value;
 }
 
 void WriteWindowDigests(const std::vector<std::uint64_t>& digests,
@@ -137,7 +138,7 @@ int main(int argc, char** argv) {
   options.streams_per_domain = 32768;
   std::string workload_flag = "oltp-st";
   double duration_ms = 20.0;
-  double seed = -1.0;
+  std::optional<std::uint64_t> seed;
   bool fingerprint_only = false;
   std::string digests_out_path;
   std::string digests_baseline_path;
@@ -152,32 +153,31 @@ int main(int argc, char** argv) {
       PrintUsage();
       return 0;
     } else if (arg == "--domains") {
-      options.domains = static_cast<int>(ParseDouble(next()));
-      if (options.domains < 1) Fail("--domains must be >= 1");
+      options.domains = kFlags.Integer(arg, next(), 1, kMaxDomains);
     } else if (arg == "--sim-threads") {
-      options.sim_threads = static_cast<int>(ParseDouble(next()));
-      if (options.sim_threads < 1) Fail("--sim-threads must be >= 1");
+      options.sim_threads = kFlags.Integer(arg, next(), 1, kMaxThreads);
     } else if (arg == "--duration-ms") {
-      duration_ms = ParseDouble(next());
-      if (duration_ms <= 0.0) Fail("--duration-ms must be > 0");
+      duration_ms = kFlags.Real(arg, next(), kMinDurationMs, kMaxDurationMs);
     } else if (arg == "--workload") {
       workload_flag = next();
     } else if (arg == "--chips") {
-      options.base.memory.chips = static_cast<int>(ParseDouble(next()));
+      options.base.memory.chips = kFlags.Integer(arg, next(), 1, kMaxChips);
     } else if (arg == "--streams") {
       options.streams_per_domain =
-          static_cast<std::uint64_t>(ParseDouble(next()));
+          kFlags.Integer(arg, next(), std::uint64_t{1}, kMaxU64);
     } else if (arg == "--remote-fraction") {
-      options.remote_fraction = ParseDouble(next());
+      options.remote_fraction = kFlags.Real(arg, next(), 0.0, 1.0);
     } else if (arg == "--remote-latency-us") {
-      options.remote_latency =
-          static_cast<Tick>(ParseDouble(next()) * kMicrosecond);
+      options.remote_latency = static_cast<Tick>(
+          kFlags.Real(arg, next(), kMinRemoteLatencyUs, kMaxRemoteLatencyUs) *
+          kMicrosecond);
     } else if (arg == "--seed") {
-      seed = ParseDouble(next());
+      seed = kFlags.Integer(arg, next(), std::uint64_t{0}, kMaxU64);
     } else if (arg == "--fingerprint-only") {
       fingerprint_only = true;
     } else if (arg == "--sched-fuzz-seed") {
-      options.sched_fuzz_seed = static_cast<std::uint64_t>(ParseDouble(next()));
+      options.sched_fuzz_seed =
+          kFlags.Integer(arg, next(), std::uint64_t{0}, kMaxU64);
     } else if (arg == "--engine-fault") {
       const std::string name = next();
       if (!ParseEngineFault(name, &options.engine_fault)) {
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
 
   options.workload = WorkloadByFlag(workload_flag);
   options.workload.duration = static_cast<Tick>(duration_ms * kMillisecond);
-  if (seed >= 0.0) options.workload.seed = static_cast<std::uint64_t>(seed);
+  if (seed.has_value()) options.workload.seed = *seed;
 
   const auto wall_start = std::chrono::steady_clock::now();
   const FleetResults fleet = RunFleet(options);

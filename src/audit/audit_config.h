@@ -1,34 +1,11 @@
-// Compile-time switch for the runtime invariant auditor (see DESIGN.md,
-// "Runtime invariant auditor").
-//
-// DMASIM_AUDIT_LEVEL is injected by CMake (cache variable of the same
-// name) and selects how much auditing is compiled into the library:
-//   0  -- off. No audit code, no audit data members; the hot paths are
-//         byte-identical to a build without the subsystem.
-//   1  -- end-of-run. Chips stream transitions and energy segments to an
-//         attached sink; all registered invariants run once when the
-//         driver finishes a trace.
-//   2  -- periodic + transition-time. Additionally re-checks the registry
-//         on a fixed simulated-time cadence, validates every power-state
-//         transition the moment it completes, and arms inline checks
-//         (event-kernel FIFO pop order, DMA-TA lockstep) that have no
-//         registry entry because they live on the hot path itself.
-//
-// The compile-time level is a ceiling: a library built at level 2 still
-// runs unaudited unless SimulationOptions::audit_level asks for checks.
+// Default for the DMASIM_AUDIT_LEVEL macro, kept only for dmabench's
+// build guard (dmabench/src/main.cc). The library does not read it:
+// audit levels are chosen per run (SimulationOptions::audit_level).
 #ifndef DMASIM_AUDIT_AUDIT_CONFIG_H_
 #define DMASIM_AUDIT_AUDIT_CONFIG_H_
 
 #ifndef DMASIM_AUDIT_LEVEL
 #define DMASIM_AUDIT_LEVEL 0
 #endif
-
-namespace dmasim {
-
-// The level this library was compiled with, for runtime interrogation
-// (e.g. dmasim_sweep warns when --audit is used on a level-0 build).
-inline constexpr int kCompiledAuditLevel = DMASIM_AUDIT_LEVEL;
-
-}  // namespace dmasim
 
 #endif  // DMASIM_AUDIT_AUDIT_CONFIG_H_

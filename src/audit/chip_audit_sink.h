@@ -1,10 +1,7 @@
 // Observer interface through which a MemoryChip streams auditable facts
 // to the invariant auditor. Kept to this tiny header so src/mem depends
-// only on the interface, never on the auditor implementation.
-//
-// The hooks exist (and the chip carries a sink pointer) only when the
-// library is built with DMASIM_AUDIT_LEVEL >= 1; at level 0 the chip has
-// no audit members at all.
+// only on the interface, never on the auditor implementation. A chip
+// with no sink attached (every unaudited run) skips the hooks.
 #ifndef DMASIM_AUDIT_CHIP_AUDIT_SINK_H_
 #define DMASIM_AUDIT_CHIP_AUDIT_SINK_H_
 

@@ -26,10 +26,9 @@
 //                               the order half on any non-identity
 //                               drain permutation.
 //
-// Like InvariantAuditor itself, this is ordinary code with no
-// conditional compilation — tests use it at any audit level; the fleet
-// driver instantiates it under `DMASIM_AUDIT_LEVEL >= 1` builds when
-// `--audit` is on.
+// Like InvariantAuditor itself, this is ordinary code — tests use it
+// directly; the fleet driver instantiates it when base.audit_level >= 1
+// (`--audit`).
 #ifndef DMASIM_AUDIT_SHARD_AUDIT_H_
 #define DMASIM_AUDIT_SHARD_AUDIT_H_
 

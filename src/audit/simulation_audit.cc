@@ -1,7 +1,5 @@
 #include "audit/simulation_audit.h"
 
-#if DMASIM_AUDIT_LEVEL >= 1
-
 #include <algorithm>
 #include <cmath>
 #include <cstdarg>
@@ -441,5 +439,3 @@ void SimulationAudit::RegisterStandardInvariants() {
 }
 
 }  // namespace dmasim
-
-#endif  // DMASIM_AUDIT_LEVEL >= 1

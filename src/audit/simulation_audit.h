@@ -4,16 +4,10 @@
 // sweeps and validates each power-state transition the moment it
 // completes.
 //
-// The whole class exists only when the library is built with
-// DMASIM_AUDIT_LEVEL >= 1; SimulationDriver's use of it is compiled out
-// at level 0, which is what makes level-0 builds byte-identical to the
-// pre-audit library.
+// The driver builds one only when a run asks for audit_level >= 1; an
+// unaudited run attaches no sink, so the chips' hooks stay a null test.
 #ifndef DMASIM_AUDIT_SIMULATION_AUDIT_H_
 #define DMASIM_AUDIT_SIMULATION_AUDIT_H_
-
-#include "audit/audit_config.h"
-
-#if DMASIM_AUDIT_LEVEL >= 1
 
 #include <array>
 #include <cstdint>
@@ -33,9 +27,8 @@ namespace dmasim {
 class SimulationAudit : public ChipAuditSink {
  public:
   struct Options {
-    // Effective audit level (already clamped to the compile-time level by
-    // the caller): 1 = end-of-run registry pass only, 2 = also periodic
-    // passes and transition-time validation/abort.
+    // 1 = end-of-run registry pass only, 2 = also periodic passes and
+    // transition-time validation/abort.
     int level = 1;
     Tick period = kMillisecond;  // Cadence of level-2 periodic passes.
     InvariantAuditor::Mode mode = InvariantAuditor::Mode::kAbort;
@@ -94,7 +87,5 @@ class SimulationAudit : public ChipAuditSink {
 };
 
 }  // namespace dmasim
-
-#endif  // DMASIM_AUDIT_LEVEL >= 1
 
 #endif  // DMASIM_AUDIT_SIMULATION_AUDIT_H_

@@ -1,6 +1,7 @@
 #include "check/minimizer.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "check/explorer.h"
 #include "check/protocol_harness.h"
@@ -28,23 +29,23 @@ bool Reproduces(const CheckerConfig& config,
 
 namespace {
 
-std::vector<Action> WithoutRange(const std::vector<Action>& actions,
-                                 std::size_t begin, std::size_t end) {
-  std::vector<Action> candidate;
-  candidate.reserve(actions.size() - (end - begin));
-  for (std::size_t i = 0; i < actions.size(); ++i) {
-    if (i < begin || i >= end) candidate.push_back(actions[i]);
+std::vector<std::size_t> WithoutRange(const std::vector<std::size_t>& kept,
+                                      std::size_t begin, std::size_t end) {
+  std::vector<std::size_t> candidate;
+  candidate.reserve(kept.size() - (end - begin));
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    if (i < begin || i >= end) candidate.push_back(kept[i]);
   }
   return candidate;
 }
 
 }  // namespace
 
-std::vector<Action> MinimizeTrace(const CheckerConfig& config,
-                                  const std::vector<Action>& actions,
-                                  const std::string& property) {
-  DMASIM_EXPECTS(Reproduces(config, actions, property));
-  std::vector<Action> current = actions;
+std::vector<std::size_t> MinimizeIndices(
+    std::size_t n,
+    const std::function<bool(const std::vector<std::size_t>&)>& reproduces) {
+  std::vector<std::size_t> current(n);
+  std::iota(current.begin(), current.end(), std::size_t{0});
 
   // ddmin: partition into `chunks` pieces, greedily drop any piece whose
   // removal still reproduces; refine granularity when nothing drops.
@@ -55,9 +56,8 @@ std::vector<Action> MinimizeTrace(const CheckerConfig& config,
     bool removed = false;
     for (std::size_t begin = 0; begin < current.size(); begin += chunk_size) {
       const std::size_t end = std::min(begin + chunk_size, current.size());
-      std::vector<Action> candidate = WithoutRange(current, begin, end);
-      if (candidate.size() < current.size() &&
-          Reproduces(config, candidate, property)) {
+      std::vector<std::size_t> candidate = WithoutRange(current, begin, end);
+      if (reproduces(candidate)) {
         current = std::move(candidate);
         chunks = std::max<std::size_t>(2, chunks - 1);
         removed = true;
@@ -72,8 +72,8 @@ std::vector<Action> MinimizeTrace(const CheckerConfig& config,
   while (shrunk && current.size() > 1) {
     shrunk = false;
     for (std::size_t i = 0; i < current.size(); ++i) {
-      std::vector<Action> candidate = WithoutRange(current, i, i + 1);
-      if (Reproduces(config, candidate, property)) {
+      std::vector<std::size_t> candidate = WithoutRange(current, i, i + 1);
+      if (reproduces(candidate)) {
         current = std::move(candidate);
         shrunk = true;
         break;
@@ -81,6 +81,22 @@ std::vector<Action> MinimizeTrace(const CheckerConfig& config,
     }
   }
   return current;
+}
+
+std::vector<Action> MinimizeTrace(const CheckerConfig& config,
+                                  const std::vector<Action>& actions,
+                                  const std::string& property) {
+  DMASIM_EXPECTS(Reproduces(config, actions, property));
+  const auto pick = [&actions](const std::vector<std::size_t>& kept) {
+    std::vector<Action> subset;
+    subset.reserve(kept.size());
+    for (const std::size_t i : kept) subset.push_back(actions[i]);
+    return subset;
+  };
+  return pick(MinimizeIndices(
+      actions.size(), [&](const std::vector<std::size_t>& kept) {
+        return Reproduces(config, pick(kept), property);
+      }));
 }
 
 }  // namespace dmasim::check

@@ -1,14 +1,17 @@
-// Greedy delta-debugging over a violating action sequence.
+// Greedy delta-debugging, shared by the protocol checker's action
+// traces and the shard harness's drain-order traces.
 //
-// A candidate subsequence is valid iff every one of its actions is
-// enabled when replayed in order AND the run surfaces a violation of the
-// same property (mid-replay or at the terminal check). Classic ddmin
-// chunk removal runs first, then a one-at-a-time sweep guarantees the
-// result is 1-minimal: removing any single remaining action either
-// disables a later one or loses the violation.
+// Classic ddmin chunk removal runs first, then a one-at-a-time sweep
+// guarantees the result is 1-minimal: removing any single remaining
+// element loses the violation. For action traces a candidate
+// subsequence is valid iff every one of its actions is enabled when
+// replayed in order AND the run surfaces a violation of the same
+// property (mid-replay or at the terminal check).
 #ifndef DMASIM_CHECK_MINIMIZER_H_
 #define DMASIM_CHECK_MINIMIZER_H_
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,13 @@
 #include "check/check_config.h"
 
 namespace dmasim::check {
+
+// ddmin over the index set {0, ..., n - 1}. `reproduces` judges a
+// candidate given as the ascending indices it keeps; the full set must
+// reproduce. Returns the kept indices of a 1-minimal candidate.
+std::vector<std::size_t> MinimizeIndices(
+    std::size_t n,
+    const std::function<bool(const std::vector<std::size_t>&)>& reproduces);
 
 // True when replaying `actions` under `config` reproduces a violation of
 // `property` (empty property accepts any violation). All actions must be

@@ -7,23 +7,16 @@
 #include <sstream>
 
 #include "audit/shard_audit.h"
+#include "check/minimizer.h"
 #include "util/check.h"
+#include "util/fnv.h"
 
 namespace dmasim::check {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 constexpr std::uint32_t kRelayMsg = 1;
 constexpr const char* kConvergenceProperty = "shard.fingerprint-convergence";
-
-void FnvMixU64(std::uint64_t* hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    *hash ^= (value >> (8 * byte)) & 0xffu;
-    *hash *= kFnvPrime;
-  }
-}
 
 void ValidateConfig(const ShardCheckConfig& config) {
   DMASIM_EXPECTS(config.shards >= 2 && config.shards <= 3);
@@ -124,30 +117,30 @@ class ShardScenario {
   void Run() { engine_.Run(kRunUntil, nullptr); }
 
   std::uint64_t Fingerprint() const {
-    std::uint64_t hash = kFnvOffset;
+    Fnv1a hash;
     for (int s = 0; s < config_.shards; ++s) {
       const std::vector<LogEntry>& log = logs_[static_cast<std::size_t>(s)];
-      FnvMixU64(&hash, log.size());
+      hash.MixU64(log.size());
       for (const LogEntry& entry : log) {
-        FnvMixU64(&hash, static_cast<std::uint64_t>(entry.time));
-        FnvMixU64(&hash, (static_cast<std::uint64_t>(entry.shard) << 32) |
-                             entry.origin);
-        FnvMixU64(&hash,
-                  (static_cast<std::uint64_t>(entry.hop) << 32) | entry.tag);
+        hash.MixU64(static_cast<std::uint64_t>(entry.time));
+        hash.MixU64((static_cast<std::uint64_t>(entry.shard) << 32) |
+                    entry.origin);
+        hash.MixU64((static_cast<std::uint64_t>(entry.hop) << 32) |
+                    entry.tag);
       }
     }
     for (const ShardMessage& message : engine_.deliveries()) {
-      FnvMixU64(&hash, static_cast<std::uint64_t>(message.deliver_at));
-      FnvMixU64(&hash, message.send_seq);
-      FnvMixU64(&hash, message.a);
-      FnvMixU64(&hash, message.b);
-      FnvMixU64(&hash, message.c);
-      FnvMixU64(&hash, (static_cast<std::uint64_t>(message.src) << 32) |
-                           message.dst);
+      hash.MixU64(static_cast<std::uint64_t>(message.deliver_at));
+      hash.MixU64(message.send_seq);
+      hash.MixU64(message.a);
+      hash.MixU64(message.b);
+      hash.MixU64(message.c);
+      hash.MixU64((static_cast<std::uint64_t>(message.src) << 32) |
+                  message.dst);
     }
-    FnvMixU64(&hash, engine_.stats().windows);
-    FnvMixU64(&hash, engine_.stats().delivered_messages);
-    return hash;
+    hash.MixU64(engine_.stats().windows);
+    hash.MixU64(engine_.stats().delivered_messages);
+    return hash.hash();
   }
 
   const ShardedEngine& engine() const { return engine_; }
@@ -365,76 +358,27 @@ bool ShardTraceReproduces(const ShardCheckConfig& config,
   return false;
 }
 
-namespace {
-
-// Candidate with the choices at `drop_begin..drop_end` (indices into
-// `active`) reset to identity.
-ShardTrace WithoutActiveRange(const ShardTrace& perms,
-                              const std::vector<std::size_t>& active,
-                              std::size_t drop_begin, std::size_t drop_end) {
-  ShardTrace candidate = perms;
-  for (std::size_t i = drop_begin; i < drop_end && i < active.size(); ++i) {
-    candidate[active[i]] = 0;
-  }
-  // Trim trailing identity choices (they are implied).
-  while (!candidate.empty() && candidate.back() == 0) candidate.pop_back();
-  return candidate;
-}
-
-std::vector<std::size_t> ActivePositions(const ShardTrace& perms) {
-  std::vector<std::size_t> active;
-  for (std::size_t i = 0; i < perms.size(); ++i) {
-    if (perms[i] != 0) active.push_back(i);
-  }
-  return active;
-}
-
-}  // namespace
-
 ShardTrace MinimizeShardTrace(const ShardCheckConfig& config,
                               const ShardTrace& perms,
                               const std::string& property) {
   DMASIM_EXPECTS(ShardTraceReproduces(config, perms, property));
-  ShardTrace current = perms;
-  while (!current.empty() && current.back() == 0) current.pop_back();
-
-  // ddmin over the non-identity choices: drop whole chunks while the
-  // violation reproduces, refining granularity when nothing drops.
-  std::size_t chunks = 2;
-  while (true) {
-    const std::vector<std::size_t> active = ActivePositions(current);
-    if (active.size() < 2 || chunks > active.size()) break;
-    const std::size_t chunk_size = (active.size() + chunks - 1) / chunks;
-    bool removed = false;
-    for (std::size_t begin = 0; begin < active.size(); begin += chunk_size) {
-      const std::size_t end = std::min(begin + chunk_size, active.size());
-      ShardTrace candidate = WithoutActiveRange(current, active, begin, end);
-      if (ShardTraceReproduces(config, candidate, property)) {
-        current = std::move(candidate);
-        chunks = std::max<std::size_t>(2, chunks - 1);
-        removed = true;
-        break;
-      }
-    }
-    if (!removed) chunks *= 2;
+  std::vector<std::size_t> active;
+  for (std::size_t i = 0; i < perms.size(); ++i) {
+    if (perms[i] != 0) active.push_back(i);
   }
-
-  // One-at-a-time sweep to a 1-minimal fixpoint.
-  bool shrunk = true;
-  while (shrunk) {
-    shrunk = false;
-    const std::vector<std::size_t> active = ActivePositions(current);
-    if (active.size() <= 1) break;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      ShardTrace candidate = WithoutActiveRange(current, active, i, i + 1);
-      if (ShardTraceReproduces(config, candidate, property)) {
-        current = std::move(candidate);
-        shrunk = true;
-        break;
-      }
-    }
-  }
-  return current;
+  // Keeps the non-identity choices at `kept` (indices into `active`) and
+  // resets the rest to identity, so remaining choices keep their barrier
+  // positions; trailing identity choices are implied and trimmed.
+  const auto keep_only = [&](const std::vector<std::size_t>& kept) {
+    ShardTrace candidate(perms.size(), 0);
+    for (const std::size_t k : kept) candidate[active[k]] = perms[active[k]];
+    while (!candidate.empty() && candidate.back() == 0) candidate.pop_back();
+    return candidate;
+  };
+  return keep_only(MinimizeIndices(
+      active.size(), [&](const std::vector<std::size_t>& kept) {
+        return ShardTraceReproduces(config, keep_only(kept), property);
+      }));
 }
 
 namespace {

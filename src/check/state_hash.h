@@ -13,17 +13,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/fnv.h"
+
 namespace dmasim::check {
 
 inline std::uint64_t HashState(const std::vector<std::uint64_t>& words) {
-  std::uint64_t hash = 1469598103934665603ull;  // FNV offset basis.
-  for (const std::uint64_t word : words) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (byte * 8)) & 0xffu;
-      hash *= 1099511628211ull;  // FNV prime.
-    }
-  }
-  return hash;
+  Fnv1a hash;
+  for (const std::uint64_t word : words) hash.MixU64(word);
+  return hash.hash();
 }
 
 }  // namespace dmasim::check

@@ -5,8 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "audit/audit_config.h"
-
 namespace dmasim {
 
 int MemorySystemConfig::AlignmentQuorum() const {
@@ -157,11 +155,9 @@ void MemoryController::CpuAccess(std::uint64_t logical_page,
 void MemoryController::DeliverChunk(DmaTransfer* transfer,
                                     std::int64_t chunk_bytes, bool first) {
   const Tick now = simulator_->Now();
-#if DMASIM_AUDIT_LEVEL >= 2
-  // Lockstep audit: once past its (possibly gated) first request, a
+  // DMA-TA lockstep: once past its (possibly gated) first request, a
   // transfer flows without further DMA-TA interference.
   if (!first) DMASIM_CHECK(!transfer->blocked);
-#endif
   if (aligner_->enabled()) {
     // Note: this credit commutes with the credits coalesced runs replay
     // later (all arrival credits are identical), so no settle is needed
@@ -178,12 +174,10 @@ void MemoryController::DeliverChunk(DmaTransfer* transfer,
           const int chip_index = transfer->chip_index;
           const TemporalAligner::GateResult gate =
               aligner_->Gate(chip_index, transfer, chunk_bytes, now);
-#if DMASIM_OBS >= 2
           if (obs_.tracer != nullptr) {
             obs_.tracer->Gate(now, chip_index, transfer->bus_id,
                               transfer->id);
           }
-#endif
           if (gate.release_now) {
             ReleaseChip(chip_index, aligner_->last_release_cause());
           } else {
@@ -226,17 +220,14 @@ void MemoryController::ForwardChunk(DmaTransfer* transfer,
       }});
 }
 
-void MemoryController::ReleaseChip(int chip_index,
-                                   [[maybe_unused]] ReleaseCause cause) {
+void MemoryController::ReleaseChip(int chip_index, ReleaseCause cause) {
   std::vector<GatedRequest> gated = aligner_->TakeGated(chip_index);
   if (gated.empty()) return;
-#if DMASIM_OBS >= 2
   if (obs_.tracer != nullptr) {
     obs_.tracer->Release(simulator_->Now(), chip_index,
                          static_cast<int>(cause),
                          static_cast<int>(gated.size()));
   }
-#endif
   MemoryChip& chip = *chips_[static_cast<std::size_t>(chip_index)];
   if (chip.power_state() != PowerState::kActive) {
     const Ticks wake =
@@ -248,12 +239,10 @@ void MemoryController::ReleaseChip(int chip_index,
     request.transfer->blocked = false;
     const Tick issue = request.gated_at;
     request.transfer->gated_at = -1;
-#if DMASIM_OBS >= 1
     if (obs_.gate_delay != nullptr) {
       obs_.gate_delay->Add(
           static_cast<double>(simulator_->Now() - request.gated_at));
     }
-#endif
     ForwardChunk(request.transfer, request.chunk_bytes, issue, /*first=*/true);
   }
 }
@@ -281,20 +270,16 @@ void MemoryController::CompleteTransfer(DmaTransfer* transfer,
   ++stats_.transfers_completed;
   transfer_latency_.Add(
       static_cast<double>(completion - transfer->start_time));
-#if DMASIM_OBS >= 1
   if (obs_.transfer_latency != nullptr) {
     obs_.transfer_latency->Add(
         static_cast<double>(completion - transfer->start_time));
   }
-#endif
-#if DMASIM_OBS >= 2
   if (obs_.tracer != nullptr) {
     obs_.tracer->Transfer(transfer->start_time, completion, transfer->id,
                           transfer->chip_index, transfer->bus_id,
                           static_cast<int>(transfer->kind),
                           transfer->obs_was_gated, transfer->total_bytes);
   }
-#endif
   Callback on_complete = std::move(transfer->on_complete);
   pool_.Release(transfer);
   if (on_complete) on_complete(completion);
@@ -476,12 +461,10 @@ void MemoryController::ScheduleEpoch() {
     for (std::size_t i = 0; i < to_release.size(); ++i) {
       ReleaseChip(to_release[i], aligner_->last_epoch_causes()[i]);
     }
-#if DMASIM_OBS >= 2
     if (obs_.tracer != nullptr) {
       obs_.tracer->SlackSample(simulator_->Now(), aligner_->slack().slack(),
                                aligner_->TotalPending());
     }
-#endif
     ScheduleEpoch();
   });
 }

@@ -31,19 +31,13 @@
 #include "mem/power_policy.h"
 #include "mon/monitor_config.h"
 #include "mon/region_monitor.h"
-#include "obs/obs_config.h"
+#include "obs/event_trace.h"
 #include "sim/inline_function.h"
 #include "sim/simulator.h"
 #include "stats/accumulators.h"
 #include "stats/energy.h"
-#include "util/time.h"
-
-#if DMASIM_OBS >= 1
 #include "stats/histogram.h"
-#endif
-#if DMASIM_OBS >= 2
-#include "obs/event_trace.h"
-#endif
+#include "util/time.h"
 
 namespace dmasim {
 
@@ -183,7 +177,6 @@ class MemoryController : public DmaRequestSink {
   const ChipPowerModel& chip_model() const { return *chip_model_; }
   std::uint64_t InFlightTransfers() const { return pool_.ActiveCount(); }
 
-#if DMASIM_OBS >= 1
   // Observability hook points, filled in by SimulationObserver. All
   // pointers are optional (null = not collected); none of them influences
   // simulation behaviour.
@@ -192,12 +185,9 @@ class MemoryController : public DmaRequestSink {
     Histogram* gate_delay = nullptr;
     // Per-transfer latency (start -> last chunk served), ticks.
     Histogram* transfer_latency = nullptr;
-#if DMASIM_OBS >= 2
     EventTracer* tracer = nullptr;
-#endif
   };
   void SetObsHooks(const ObsHooks& hooks) { obs_ = hooks; }
-#endif
 
  private:
   void ForwardChunk(DmaTransfer* transfer, std::int64_t chunk_bytes,
@@ -205,7 +195,7 @@ class MemoryController : public DmaRequestSink {
   void OnChunkComplete(DmaTransfer* transfer, std::int64_t chunk_bytes,
                        Tick issue_time, Tick completion);
   void CompleteTransfer(DmaTransfer* transfer, Tick completion);
-  // `cause` is attribution for observability only (unused at DMASIM_OBS=0).
+  // `cause` is attribution for observability only.
   void ReleaseChip(int chip_index, ReleaseCause cause);
   void ScheduleEpoch();
   void ScheduleLayoutInterval();
@@ -263,9 +253,7 @@ class MemoryController : public DmaRequestSink {
   ControllerStats stats_;
   std::vector<std::uint64_t> transfers_per_chip_;
 
-#if DMASIM_OBS >= 1
   ObsHooks obs_;
-#endif
 };
 
 }  // namespace dmasim

@@ -39,8 +39,8 @@ struct SweepOptions {
   // When non-empty, each run's observability trace is written to
   // "<prefix>-run<id>.json" (Chrome/Perfetto trace_event format). The
   // paths are resolved before submission, so concurrent runs never write
-  // the same file. Only effective when the library is compiled with
-  // DMASIM_OBS >= 2 and the run's options request obs_level >= 2.
+  // the same file. Only effective when the run's options request
+  // obs_level >= 2.
   std::string trace_out_prefix;
 };
 

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 
-#include "obs/obs_config.h"
 #include "sim/inline_function.h"
 #include "util/time.h"
 
@@ -40,11 +39,9 @@ struct DmaTransfer {
   Tick start_time = 0;
   Tick gated_at = -1;  // Time the first request was gated, or -1.
 
-#if DMASIM_OBS >= 2
   // Whether DMA-TA ever gated this transfer (`gated_at` is reset on
   // release, but the lifecycle trace event needs the history).
   bool obs_was_gated = false;
-#endif
 
   // Invoked once, when the final chunk completes.
   SmallFunction<void(Tick)> on_complete;
@@ -94,9 +91,7 @@ struct DmaTransfer {
     blocked = false;
     start_time = 0;
     gated_at = -1;
-#if DMASIM_OBS >= 2
     obs_was_gated = false;
-#endif
     on_complete = {};
     run_active = false;
     run_next_issue = 0;

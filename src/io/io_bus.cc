@@ -24,12 +24,10 @@ void IoBus::StartTransfer(DmaTransfer* transfer) {
   transfer->chunk_bytes = std::min<std::int64_t>(chunk_bytes_,
                                                  transfer->total_bytes);
   ++transfers_started_;
-#if DMASIM_OBS >= 2
   if (obs_tracer_ != nullptr) {
     obs_tracer_->BusTransferStart(simulator_->Now(), id_, transfer->id,
                                   transfer->total_bytes);
   }
-#endif
   MakeReady(transfer);
 }
 

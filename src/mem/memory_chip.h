@@ -18,25 +18,17 @@
 #include <cstdint>
 #include <deque>
 
-#include "audit/audit_config.h"
+#include "audit/chip_audit_sink.h"
 #include "mem/chip_power_model.h"
 #include "mem/power_fsm.h"
 #include "mem/power_model.h"
 #include "mem/power_policy.h"
-#include "obs/obs_config.h"
+#include "obs/event_trace.h"
 #include "sim/inline_function.h"
 #include "sim/simulator.h"
 #include "stats/energy.h"
 #include "util/check.h"
 #include "util/time.h"
-
-#if DMASIM_AUDIT_LEVEL >= 1
-#include "audit/chip_audit_sink.h"
-#endif
-
-#if DMASIM_OBS >= 2
-#include "obs/event_trace.h"
-#endif
 
 namespace dmasim {
 
@@ -150,14 +142,11 @@ class MemoryChip {
   // Simulated time up to which energy/stats have been integrated.
   Tick accounted_until() const { return accounted_until_; }
 
-#if DMASIM_AUDIT_LEVEL >= 1
   // Attaches the invariant auditor's observer (null detaches). The sink
   // sees every completed power-state transition and every integrated
   // energy segment.
   void SetAuditSink(ChipAuditSink* sink) { audit_sink_ = sink; }
-#endif
 
-#if DMASIM_OBS >= 2
   // Attaches the observability tracer (null detaches). From this moment
   // the chip closes a residency or transition interval event whenever its
   // power state machine moves; `FlushObsResidency` closes the open
@@ -168,7 +157,6 @@ class MemoryChip {
     obs_interval_start_ = simulator_->Now();
   }
   void FlushObsResidency();
-#endif
 
   // Deepest state a policy lets an idle chip settle into (the natural
   // initial state for a freshly simulated chip).
@@ -227,12 +215,9 @@ class MemoryChip {
   EnergyBreakdown energy_;
   ChipStats stats_;
 
-#if DMASIM_AUDIT_LEVEL >= 1
   ChipAuditSink* audit_sink_ = nullptr;
   Tick audit_transition_start_ = 0;
-#endif
 
-#if DMASIM_OBS >= 2
   // Closes the open residency interval at `now` (no-op when detached or
   // zero-length; zero-length intervals carry no time and would only bloat
   // the trace).
@@ -240,7 +225,6 @@ class MemoryChip {
 
   EventTracer* obs_tracer_ = nullptr;
   Tick obs_interval_start_ = 0;
-#endif
 };
 
 }  // namespace dmasim

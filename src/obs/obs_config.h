@@ -1,37 +1,11 @@
-// Compile-time switch for the observability layer (see DESIGN.md,
-// "Observability layer").
-//
-// DMASIM_OBS is injected by CMake (cache variable of the same name) and
-// selects how much instrumentation is compiled into the library:
-//   0  -- off. No obs code, no obs data members; the hot paths are
-//         byte-identical to a build without the subsystem.
-//   1  -- metrics. Components carry registry pointers (counters, gauges,
-//         fixed-bin histograms) that the SimulationObserver wires up; the
-//         per-run metrics snapshot lands in SimulationResults and in the
-//         JSON artifact's "metrics" section.
-//   2  -- metrics + event tracing. Additionally records structured events
-//         (power-state residency and transitions, DMA-TA gate/release
-//         decisions with cause, transfer lifecycle, slack samples, client
-//         requests) into a bounded in-memory buffer, exportable as
-//         Chrome/Perfetto trace_event JSON.
-//
-// The compile-time level is a ceiling: a library built at level 2 still
-// runs uninstrumented unless SimulationOptions::obs_level asks for it,
-// which is what keeps default-option artifacts byte-identical across
-// build levels (the pinned-checksum determinism tests hold this).
+// Default for the DMASIM_OBS macro, kept only for dmabench's build guard
+// (dmabench/src/main.cc). The library does not read it: observability
+// levels are chosen per run (SimulationOptions::obs_level).
 #ifndef DMASIM_OBS_OBS_CONFIG_H_
 #define DMASIM_OBS_OBS_CONFIG_H_
 
 #ifndef DMASIM_OBS
 #define DMASIM_OBS 0
 #endif
-
-namespace dmasim {
-
-// The level this library was compiled with, for runtime interrogation
-// (e.g. dmasim_sweep warns when --trace-out is used on a level-0 build).
-inline constexpr int kCompiledObsLevel = DMASIM_OBS;
-
-}  // namespace dmasim
 
 #endif  // DMASIM_OBS_OBS_CONFIG_H_

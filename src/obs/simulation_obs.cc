@@ -1,8 +1,5 @@
 #include "obs/simulation_obs.h"
 
-#if DMASIM_OBS >= 1
-
-#include <algorithm>
 #include <string>
 
 #include "core/temporal_aligner.h"
@@ -27,7 +24,7 @@ SimulationObserver::SimulationObserver(MemoryController* controller,
       server_(server),
       simulator_(options.simulator),
       engine_(options.engine),
-      level_(std::clamp(options.level, 0, kCompiledObsLevel)) {
+      level_(options.level) {
   DMASIM_EXPECTS(controller_ != nullptr);
   if (level_ < 1) return;
 
@@ -45,7 +42,6 @@ SimulationObserver::SimulationObserver(MemoryController* controller,
         "server", "response_time_ticks", 0.0, kResponseTimeHi, 50);
   }
 
-#if DMASIM_OBS >= 2
   if (level_ >= 2) {
     for (int cause = 0; cause < kReleaseCauseCount; ++cause) {
       releases_by_cause_[cause] = registry_.AddCounter(
@@ -66,7 +62,6 @@ SimulationObserver::SimulationObserver(MemoryController* controller,
     controller_hooks.tracer = tracer_.get();
     server_hooks.tracer = tracer_.get();
   }
-#endif
 
   controller_->SetObsHooks(controller_hooks);
   if (server_ != nullptr) server_->SetObsHooks(server_hooks);
@@ -76,7 +71,6 @@ SimulationObserver::~SimulationObserver() {
   if (level_ < 1) return;
   controller_->SetObsHooks(MemoryController::ObsHooks{});
   if (server_ != nullptr) server_->SetObsHooks(DataServer::ObsHooks{});
-#if DMASIM_OBS >= 2
   if (tracer_ != nullptr) {
     for (int i = 0; i < controller_->chip_count(); ++i) {
       controller_->chip(i).SetObsTracer(nullptr);
@@ -85,7 +79,6 @@ SimulationObserver::~SimulationObserver() {
       controller_->bus(i).SetObsTracer(nullptr);
     }
   }
-#endif
 }
 
 void SimulationObserver::RegisterMetrics() {
@@ -206,13 +199,11 @@ void SimulationObserver::Finish() {
   // the current time (idempotent, so an earlier CollectEnergy is fine).
   controller_->CollectEnergy();
 
-#if DMASIM_OBS >= 2
   if (tracer_ != nullptr) {
     for (int i = 0; i < controller_->chip_count(); ++i) {
       controller_->chip(i).FlushObsResidency();
     }
   }
-#endif
 
   const ControllerStats& cs = controller_->stats();
   *controller_slots_.transfers_started = cs.transfers_started;
@@ -310,7 +301,6 @@ void SimulationObserver::Finish() {
     *monitor_slots_.hotness_error = monitor.latest_hotness_error();
   }
 
-#if DMASIM_OBS >= 2
   if (tracer_ != nullptr) {
     tracer_->ForEach([this](const ObsEvent& event) {
       if (event.kind == ObsEventKind::kRelease &&
@@ -321,9 +311,6 @@ void SimulationObserver::Finish() {
     *recorded_events_ = tracer_->size();
     *dropped_events_ = tracer_->dropped();
   }
-#endif
 }
 
 }  // namespace dmasim
-
-#endif  // DMASIM_OBS >= 1

@@ -1,20 +1,15 @@
 // SimulationObserver: wires the observability layer (src/obs) into one
-// simulated system — metrics registry at DMASIM_OBS >= 1, event tracing
-// at DMASIM_OBS >= 2 — and detaches it again on destruction.
+// simulated system — metrics registry at level 1, event tracing at
+// level 2 — and detaches it again on destruction.
 //
 // The observer is strictly read-only with respect to the simulation: it
 // registers histograms/counters, hands the components their hook
 // pointers, and at `Finish()` freezes everything into `MetricSample`s
 // (deriving the counter values from the components' own statistics, so a
-// mid-run crash never leaves half-updated metrics). The whole class is
-// compiled out below DMASIM_OBS >= 1; callers guard usage the same way
-// `SimulationAudit` is guarded by DMASIM_AUDIT_LEVEL.
+// mid-run crash never leaves half-updated metrics). Callers build one
+// only when a run asks for obs_level >= 1.
 #ifndef DMASIM_OBS_SIMULATION_OBS_H_
 #define DMASIM_OBS_SIMULATION_OBS_H_
-
-#include "obs/obs_config.h"
-
-#if DMASIM_OBS >= 1
 
 #include <cstdint>
 #include <memory>
@@ -22,25 +17,19 @@
 
 #include "core/memory_controller.h"
 #include "mem/power_model.h"
+#include "obs/event_trace.h"
 #include "obs/metrics.h"
 #include "server/data_server.h"
 #include "sim/simulator.h"
 
 namespace dmasim {
+
 class ShardedEngine;  // sim/sharded_engine.h; only the .cc reads stats.
-}
-
-#if DMASIM_OBS >= 2
-#include "obs/event_trace.h"
-#endif
-
-namespace dmasim {
 
 class SimulationObserver {
  public:
   struct Options {
-    // Effective level is min(level, DMASIM_OBS): 1 = metrics only,
-    // 2 = metrics + event trace.
+    // 1 = metrics only, 2 = metrics + event trace.
     int level = 1;
     // Event-trace buffer bound; events past it are dropped and counted.
     std::size_t trace_capacity = std::size_t{1} << 20;
@@ -77,10 +66,8 @@ class SimulationObserver {
     return registry_.Snapshot();
   }
 
-#if DMASIM_OBS >= 2
-  // Null below effective level 2.
+  // Null below level 2.
   const EventTracer* tracer() const { return tracer_.get(); }
-#endif
 
  private:
   void RegisterMetrics();
@@ -167,16 +154,12 @@ class SimulationObserver {
     double* hotness_error = nullptr;
   } monitor_slots_;
 
-#if DMASIM_OBS >= 2
   std::uint64_t* releases_by_cause_[kReleaseCauseCount] = {};
   std::uint64_t* recorded_events_ = nullptr;
   std::uint64_t* dropped_events_ = nullptr;
   std::unique_ptr<EventTracer> tracer_;
-#endif
 };
 
 }  // namespace dmasim
-
-#endif  // DMASIM_OBS >= 1
 
 #endif  // DMASIM_OBS_SIMULATION_OBS_H_

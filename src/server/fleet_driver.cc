@@ -1,25 +1,17 @@
 #include "server/fleet_driver.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <deque>
 #include <memory>
 #include <utility>
 
-#include "audit/audit_config.h"
-#include "exp/thread_pool.h"
-#include "util/random.h"
-
-#if DMASIM_AUDIT_LEVEL >= 1
 #include "audit/shard_audit.h"
 #include "audit/simulation_audit.h"
-#endif
-
-#include "obs/obs_config.h"
-#if DMASIM_OBS >= 1
+#include "exp/thread_pool.h"
 #include "obs/simulation_obs.h"
-#endif
+#include "util/fnv.h"
+#include "util/random.h"
 
 namespace dmasim {
 
@@ -186,13 +178,6 @@ void HandleMessage(FleetDomain* domain, const ShardMessage& message) {
   });
 }
 
-void FnvMixU64(std::uint64_t value, std::uint64_t* hash) {
-  for (int i = 0; i < 8; ++i) {
-    *hash ^= (value >> (8 * i)) & 0xffULL;
-    *hash *= 1099511628211ULL;
-  }
-}
-
 std::uint64_t Bits(double value) {
   return std::bit_cast<std::uint64_t>(value);
 }
@@ -200,33 +185,33 @@ std::uint64_t Bits(double value) {
 }  // namespace
 
 std::uint64_t FleetResults::Fingerprint() const {
-  std::uint64_t hash = 14695981039346656037ULL;
-  FnvMixU64(domains.size(), &hash);
-  FnvMixU64(static_cast<std::uint64_t>(duration), &hash);
+  Fnv1a hash;
+  hash.MixU64(domains.size());
+  hash.MixU64(static_cast<std::uint64_t>(duration));
   for (const FleetDomainResults& domain : domains) {
     const SimulationResults& r = domain.results;
-    FnvMixU64(r.executed_events, &hash);
-    FnvMixU64(r.stepped_events, &hash);
+    hash.MixU64(r.executed_events);
+    hash.MixU64(r.stepped_events);
     for (int bucket = 0; bucket < kEnergyBucketCount; ++bucket) {
-      FnvMixU64(Bits(r.energy.Of(static_cast<EnergyBucket>(bucket)).joules()),
-                &hash);
+      hash.MixU64(
+          Bits(r.energy.Of(static_cast<EnergyBucket>(bucket)).joules()));
     }
-    FnvMixU64(r.client_response.Count(), &hash);
-    FnvMixU64(Bits(r.client_response.Sum()), &hash);
-    FnvMixU64(Bits(r.transfer_latency.Sum()), &hash);
-    FnvMixU64(r.controller.transfers_completed, &hash);
-    FnvMixU64(r.server.reads, &hash);
-    FnvMixU64(r.server.misses, &hash);
-    FnvMixU64(r.gated_requests, &hash);
-    FnvMixU64(domain.remote_sent, &hash);
-    FnvMixU64(domain.remote_served, &hash);
-    FnvMixU64(domain.remote_completed, &hash);
-    FnvMixU64(domain.remote_response.Count(), &hash);
-    FnvMixU64(Bits(domain.remote_response.Sum()), &hash);
+    hash.MixU64(r.client_response.Count());
+    hash.MixU64(Bits(r.client_response.Sum()));
+    hash.MixU64(Bits(r.transfer_latency.Sum()));
+    hash.MixU64(r.controller.transfers_completed);
+    hash.MixU64(r.server.reads);
+    hash.MixU64(r.server.misses);
+    hash.MixU64(r.gated_requests);
+    hash.MixU64(domain.remote_sent);
+    hash.MixU64(domain.remote_served);
+    hash.MixU64(domain.remote_completed);
+    hash.MixU64(domain.remote_response.Count());
+    hash.MixU64(Bits(domain.remote_response.Sum()));
   }
-  FnvMixU64(engine.windows, &hash);
-  FnvMixU64(engine.delivered_messages, &hash);
-  return hash;
+  hash.MixU64(engine.windows);
+  hash.MixU64(engine.delivered_messages);
+  return hash.hash();
 }
 
 FleetResults RunFleet(const FleetOptions& options) {
@@ -254,7 +239,6 @@ FleetResults RunFleet(const FleetOptions& options) {
   engine_options.record_window_digests = options.record_window_digests;
   engine_options.fault = options.engine_fault;
   engine_options.sched_fuzz_seed = options.sched_fuzz_seed;
-#if DMASIM_AUDIT_LEVEL >= 1
   std::unique_ptr<ShardAudit> shard_audit;
   if (options.base.audit_level >= 1) {
     shard_audit = std::make_unique<ShardAudit>(
@@ -262,17 +246,12 @@ FleetResults RunFleet(const FleetOptions& options) {
                                  : InvariantAuditor::Mode::kCollect);
     engine_options.hooks = shard_audit.get();
   }
-#endif
   ShardedEngine engine(engine_options);
   shared.engine = &engine;
 
   std::deque<FleetDomain> domains;
-#if DMASIM_AUDIT_LEVEL >= 1
   std::vector<std::unique_ptr<SimulationAudit>> audits;
-#endif
-#if DMASIM_OBS >= 1
   std::vector<std::unique_ptr<SimulationObserver>> observers;
-#endif
   for (int i = 0; i < options.domains; ++i) {
     FleetDomain& domain = domains.emplace_back(i, &shared);
     domain.policy = MakePolicy(options.base.policy, options.base.thresholds,
@@ -301,11 +280,9 @@ FleetResults RunFleet(const FleetOptions& options) {
                                   [pumped]() { PumpDomain(pumped); });
     }
 
-#if DMASIM_AUDIT_LEVEL >= 1
     if (options.base.audit_level >= 1) {
       SimulationAudit::Options audit_options;
-      audit_options.level =
-          std::min(options.base.audit_level, DMASIM_AUDIT_LEVEL);
+      audit_options.level = options.base.audit_level;
       audit_options.period = options.base.audit_period;
       audit_options.mode = options.base.audit_abort
                                ? InvariantAuditor::Mode::kAbort
@@ -314,12 +291,10 @@ FleetResults RunFleet(const FleetOptions& options) {
       audits.push_back(std::make_unique<SimulationAudit>(
           &domain.simulator, domain.controller.get(), audit_options));
     }
-#endif
 
-#if DMASIM_OBS >= 1
     if (options.base.obs_level >= 1) {
       SimulationObserver::Options obs_options;
-      obs_options.level = std::min(options.base.obs_level, DMASIM_OBS);
+      obs_options.level = options.base.obs_level;
       obs_options.trace_capacity = options.base.obs_trace_capacity;
       obs_options.simulator = &domain.simulator;
       // Every domain's observer sees the shared engine, so any domain's
@@ -328,7 +303,6 @@ FleetResults RunFleet(const FleetOptions& options) {
       observers.push_back(std::make_unique<SimulationObserver>(
           domain.controller.get(), domain.server.get(), obs_options));
     }
-#endif
 
     FleetDomain* handled = &domain;
     engine.AddShard(&domain.simulator,
@@ -353,24 +327,20 @@ FleetResults RunFleet(const FleetOptions& options) {
     summary.results.workload = options.workload.name;
     summary.results.scheme = SchemeName(options.base.memory) + "/" +
                              PolicyKindName(options.base.policy);
-#if DMASIM_AUDIT_LEVEL >= 1
     if (options.base.audit_level >= 1) {
       SimulationAudit& audit = *audits[static_cast<std::size_t>(domain.index)];
       audit.Finish();
       summary.results.audit_checks = audit.auditor().checks_run();
       summary.results.audit_failures = audit.auditor().failures().size();
     }
-#endif
     CollectRunResults(&domain.simulator, domain.controller.get(),
                       domain.server.get(), &summary.results);
-#if DMASIM_OBS >= 1
     if (options.base.obs_level >= 1) {
       SimulationObserver& observer =
           *observers[static_cast<std::size_t>(domain.index)];
       observer.Finish();
       summary.results.metrics = observer.SnapshotMetrics();
     }
-#endif
     summary.remote_sent = domain.remote_sent;
     summary.remote_served = domain.remote_served;
     summary.remote_completed = domain.remote_completed;
@@ -391,12 +361,10 @@ FleetResults RunFleet(const FleetOptions& options) {
   if (options.record_window_digests) {
     fleet.window_digests = engine.window_digests();
   }
-#if DMASIM_AUDIT_LEVEL >= 1
   if (shard_audit != nullptr) {
     fleet.shard_audit_checks = shard_audit->checks_run();
     fleet.shard_audit_failures = shard_audit->auditor().failures().size();
   }
-#endif
   return fleet;
 }
 

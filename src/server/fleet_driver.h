@@ -65,7 +65,8 @@ struct FleetOptions {
   // real run; `fleet_scenario --engine-fault` plumbs it for the CI
   // divergence check).
   DMASIM_SHARED_CONST EngineFault engine_fault = EngineFault::kNone;
-  // DMASIM_SCHED_FUZZ builds only: nonzero perturbs worker scheduling.
+  // Nonzero perturbs worker scheduling (see ShardedEngine::Options); the
+  // result must stay bit-identical to seed 0.
   DMASIM_SHARED_CONST std::uint64_t sched_fuzz_seed = 0;
 };
 
@@ -106,9 +107,8 @@ struct FleetResults {
   // FleetOptions::record_window_digests). Comparing two runs finds the
   // first mismatching window of a divergence.
   DMASIM_BARRIER_ONLY std::vector<std::uint64_t> window_digests;
-  // Shard-protocol audit outcome (zero unless wired: audit builds with
-  // base.audit_level >= 1). Not part of Fingerprint() — auditing must
-  // not change the result.
+  // Shard-protocol audit outcome (zero unless base.audit_level >= 1).
+  // Not part of Fingerprint() — auditing must not change the result.
   DMASIM_BARRIER_ONLY std::uint64_t shard_audit_checks = 0;
   DMASIM_BARRIER_ONLY std::uint64_t shard_audit_failures = 0;
 

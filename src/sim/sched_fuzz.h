@@ -1,20 +1,6 @@
-// Build-mode switch for the schedule-perturbation determinism detector.
-//
-// A `-DDMASIM_SCHED_FUZZ=1` build compiles scheduling perturbations into
-// `ShardedEngine::Run`: with a nonzero `Options::sched_fuzz_seed`, a
-// seeded PRNG injects per-(window, shard) start backoff/yields into the
-// worker tasks, permutes the order windows are handed to the pool, and
-// permutes the pre-sort mailbox drain order at every barrier. None of
-// these may change the result — the barrier sort restores the total
-// delivery order — so a fuzzed run's fingerprint must be bit-identical
-// to the unperturbed run's. Any divergence is a determinism bug (or a
-// seeded engine fault; see `ShardedEngine::Options::fault`), and the
-// per-window digests (`Options::record_window_digests`) localize it to
-// the first mismatching window.
-//
-// In default builds (DMASIM_SCHED_FUZZ=0) the perturbation code compiles
-// out entirely and a nonzero fuzz seed is refused at Run() — a fuzz
-// campaign can't silently fall back to the unperturbed schedule.
+// Default for the DMASIM_SCHED_FUZZ macro, kept only for dmabench's build
+// guard (dmabench/src/main.cc). The library does not read it: every build
+// honours ShardedEngine::Options::sched_fuzz_seed.
 #ifndef DMASIM_SIM_SCHED_FUZZ_H_
 #define DMASIM_SIM_SCHED_FUZZ_H_
 

@@ -3,27 +3,13 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#if DMASIM_SCHED_FUZZ
 #include <thread>
-#endif
 
 #include "exp/thread_pool.h"
+#include "util/fnv.h"
 #include "util/random.h"
 
 namespace dmasim {
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void FnvMixU64(std::uint64_t* hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    *hash ^= (value >> (8 * byte)) & 0xffu;
-    *hash *= kFnvPrime;
-  }
-}
-
-}  // namespace
 
 const char* EngineFaultName(EngineFault fault) {
   switch (fault) {
@@ -50,10 +36,8 @@ bool ParseEngineFault(std::string_view text, EngineFault* out) {
 
 ShardedEngine::ShardedEngine(const Options& options) : options_(options) {
   DMASIM_EXPECTS(options.lookahead >= 0);
-#if DMASIM_SCHED_FUZZ
   std::uint64_t seed_state = options.sched_fuzz_seed;
   fuzz_state_ = SplitMix64(seed_state);
-#endif
 }
 
 int ShardedEngine::AddShard(Simulator* simulator, MessageHandler handler) {
@@ -110,9 +94,7 @@ void ShardedEngine::DeliverMail(std::uint64_t window, Tick horizon) {
   const int n = shard_count();
   drain_order_.resize(static_cast<std::size_t>(n));
   std::iota(drain_order_.begin(), drain_order_.end(), 0);
-#if DMASIM_SCHED_FUZZ
   if (options_.sched_fuzz_seed != 0) FuzzPermute(&drain_order_);
-#endif
   if (options_.hooks != nullptr) {
     options_.hooks->OnBarrier(window, &drain_order_);
   }
@@ -155,36 +137,31 @@ void ShardedEngine::DeliverMail(std::uint64_t window, Tick horizon) {
 
   if (options_.record_window_digests) {
     prev_window_events_.resize(static_cast<std::size_t>(n), 0);
-    std::uint64_t digest = kFnvOffset;
-    FnvMixU64(&digest, static_cast<std::uint64_t>(horizon));
+    Fnv1a digest;
+    digest.MixU64(static_cast<std::uint64_t>(horizon));
     for (int s = 0; s < n; ++s) {
       const std::uint64_t events =
           shards_[static_cast<std::size_t>(s)].window_events;
-      FnvMixU64(&digest, events - prev_window_events_[static_cast<std::size_t>(s)]);
+      digest.MixU64(events - prev_window_events_[static_cast<std::size_t>(s)]);
       prev_window_events_[static_cast<std::size_t>(s)] = events;
     }
     for (const ShardMessage& message : pending_) {
-      FnvMixU64(&digest, static_cast<std::uint64_t>(message.deliver_at));
-      FnvMixU64(&digest, message.send_seq);
-      FnvMixU64(&digest, message.a);
-      FnvMixU64(&digest, message.b);
-      FnvMixU64(&digest, message.c);
-      FnvMixU64(&digest, (static_cast<std::uint64_t>(message.src) << 32) |
-                             message.dst);
-      FnvMixU64(&digest, message.kind);
+      digest.MixU64(static_cast<std::uint64_t>(message.deliver_at));
+      digest.MixU64(message.send_seq);
+      digest.MixU64(message.a);
+      digest.MixU64(message.b);
+      digest.MixU64(message.c);
+      digest.MixU64((static_cast<std::uint64_t>(message.src) << 32) |
+                    message.dst);
+      digest.MixU64(message.kind);
     }
-    window_digests_.push_back(digest);
+    window_digests_.push_back(digest.hash());
   }
 }
 
 void ShardedEngine::Run(Tick until, ThreadPool* pool) {
   DMASIM_EXPECTS(shard_count() > 0);
   DMASIM_EXPECTS(until < std::numeric_limits<Tick>::max());
-#if !DMASIM_SCHED_FUZZ
-  // Refuse, rather than ignore, a fuzz seed the build can't honor: a
-  // fuzz campaign must not silently measure the unperturbed schedule.
-  DMASIM_CHECK_EQ(options_.sched_fuzz_seed, 0u);
-#endif
   const int n = shard_count();
   if (n > 1) DMASIM_EXPECTS(options_.lookahead > 0);
   running_ = true;
@@ -214,11 +191,9 @@ void ShardedEngine::Run(Tick until, ThreadPool* pool) {
 
     drain_order_.resize(static_cast<std::size_t>(n));
     std::iota(drain_order_.begin(), drain_order_.end(), 0);
-#if DMASIM_SCHED_FUZZ
     // Perturbed submit/execution order: share-nothing windows make the
     // order immaterial, which is exactly what this checks.
     if (options_.sched_fuzz_seed != 0) FuzzPermute(&drain_order_);
-#endif
     if (pool != nullptr && n > 1) {
       for (int index : drain_order_) {
         Shard* task_shard = &shards_[static_cast<std::size_t>(index)];
@@ -241,7 +216,6 @@ void ShardedEngine::Run(Tick until, ThreadPool* pool) {
   running_ = false;
 }
 
-#if DMASIM_SCHED_FUZZ
 void ShardedEngine::FuzzBackoff(std::uint64_t window, int index) {
   std::uint64_t state = options_.sched_fuzz_seed ^
                         (window * 0x9e3779b97f4a7c15ULL) ^
@@ -252,7 +226,7 @@ void ShardedEngine::FuzzBackoff(std::uint64_t window, int index) {
   volatile std::uint32_t sink = 0;
   for (std::uint32_t i = 0, end = static_cast<std::uint32_t>(draw % 997);
        i < end; ++i) {
-    sink += i;
+    sink = sink + i;
   }
 }
 
@@ -263,6 +237,5 @@ void ShardedEngine::FuzzPermute(std::vector<int>* order) {
     std::swap((*order)[i - 1], (*order)[j]);
   }
 }
-#endif
 
 }  // namespace dmasim

@@ -28,8 +28,8 @@
 //
 // That contract is machine-checked three ways (DESIGN.md §15): the
 // `shardcheck` static pass enforces the ownership annotations below, a
-// `DMASIM_SCHED_FUZZ` build perturbs the schedule and re-asserts the
-// fingerprint, and `dmasim_check --shard` exhaustively explores barrier
+// nonzero `Options::sched_fuzz_seed` perturbs the schedule and re-asserts
+// the fingerprint, and `dmasim_check --shard` exhaustively explores barrier
 // drain orders. `Options::fault` seeds deliberate violations so each
 // layer can prove it would catch a real one. See DESIGN.md section 14.
 #ifndef DMASIM_SIM_SHARDED_ENGINE_H_
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "sim/inline_function.h"
-#include "sim/sched_fuzz.h"
 #include "sim/shard_annotations.h"
 #include "sim/simulator.h"
 #include "sim/spsc_mailbox.h"
@@ -148,10 +147,10 @@ class ShardedEngine {
     // Barrier observation / drain-order override; not owned, may be
     // null. All hook calls happen on the coordinator thread.
     BarrierHooks* hooks = nullptr;
-    // DMASIM_SCHED_FUZZ builds only: nonzero seeds the schedule
-    // perturbation (worker backoff, permuted window submit order,
-    // permuted pre-sort drain order). Run() refuses a nonzero seed in
-    // ordinary builds so a fuzz campaign can't silently run unperturbed.
+    // Nonzero seeds the schedule perturbation (worker backoff, permuted
+    // window submit order, permuted pre-sort drain order). None of it may
+    // change a result: the barrier sort restores the total delivery
+    // order, so a fuzzed run must be bit-identical to seed 0.
     std::uint64_t sched_fuzz_seed = 0;
   };
 
@@ -225,24 +224,17 @@ class ShardedEngine {
   // shardcheck: window-context
   void RunWindow(Shard* shard, Tick horizon, std::uint64_t window,
                  int index) {
-#if DMASIM_SCHED_FUZZ
     if (options_.sched_fuzz_seed != 0) FuzzBackoff(window, index);
-#else
-    (void)window;
-    (void)index;
-#endif
     shard->window_events += shard->simulator->RunEventsBefore(horizon);
   }
   // Drains all outboxes, sorts, and invokes destination handlers.
   DMASIM_BARRIER_ONLY void DeliverMail(std::uint64_t window, Tick horizon);
   DMASIM_BARRIER_ONLY void RefreshMailboxStats();
-#if DMASIM_SCHED_FUZZ
   // Worker-side: deterministic per-(window, shard) yield/spin, derived
   // from the seed with no shared PRNG state.
   void FuzzBackoff(std::uint64_t window, int index);
   // Coordinator-side Fisher-Yates driven by fuzz_state_.
   DMASIM_BARRIER_ONLY void FuzzPermute(std::vector<int>* order);
-#endif
 
   // Fixed at construction; read-only everywhere after.
   DMASIM_SHARED_CONST Options options_;
@@ -267,9 +259,7 @@ class ShardedEngine {
   // per-window executed-event deltas in the digest.
   DMASIM_BARRIER_ONLY std::vector<std::uint64_t> prev_window_events_;
   DMASIM_BARRIER_ONLY Stats stats_;
-#if DMASIM_SCHED_FUZZ
   DMASIM_BARRIER_ONLY std::uint64_t fuzz_state_ = 0;
-#endif
 };
 
 }  // namespace dmasim

@@ -3,19 +3,13 @@
 // invariant registry (power-state legality, energy conservation, time
 // tiling) with zero failures, and the audit must still catch a seeded
 // fault when the acting DDR4 model skips the tXS self-refresh exit.
-//
-// Linked against dmasim_audited (always DMASIM_AUDIT_LEVEL=2).
 #include <gtest/gtest.h>
 
-#include "audit/audit_config.h"
 #include "core/memory_controller.h"
 #include "mem/chip_power_model.h"
 #include "server/simulation_driver.h"
 #include "sim/simulator.h"
 #include "trace/workloads.h"
-
-static_assert(dmasim::kCompiledAuditLevel >= 2,
-              "audit tests must link the level-2 library variant");
 
 namespace dmasim {
 namespace {

@@ -2,17 +2,10 @@
 // pass every registered invariant at level 2, and a deliberately seeded
 // fault (a chip model that skips the nap resync delay) is caught by the
 // power-state legality invariant.
-//
-// Linked against dmasim_audited, which is always compiled with
-// DMASIM_AUDIT_LEVEL=2 regardless of the main library's level.
 #include <gtest/gtest.h>
 
-#include "audit/audit_config.h"
 #include "server/simulation_driver.h"
 #include "trace/workloads.h"
-
-static_assert(dmasim::kCompiledAuditLevel >= 2,
-              "audit tests must link the level-2 library variant");
 
 namespace dmasim {
 namespace {

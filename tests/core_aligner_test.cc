@@ -17,11 +17,13 @@ TemporalAlignmentConfig EnabledConfig(double mu = 10.0) {
   return config;
 }
 
-// Mirrors MemoryController::DeliverChunk: every arriving DMA-memory
-// request credits the slack account before the gating decision.
+// Mirrors MemoryController::DeliverChunk: the bus has already issued the
+// chunk, and every arriving DMA-memory request credits the slack account
+// before the gating decision.
 TemporalAligner::GateResult CreditAndGate(TemporalAligner& aligner, int chip,
                                           DmaTransfer* transfer,
                                           std::int64_t chunk_bytes, Tick now) {
+  transfer->issued_bytes += chunk_bytes;
   aligner.slack().CreditArrival();
   return aligner.Gate(chip, transfer, chunk_bytes, now);
 }
@@ -124,6 +126,7 @@ TEST(TemporalAlignerTest, DeadlineExpiryReleases) {
 TEST(TemporalAlignerTest, ZeroMuReleasesImmediately) {
   TemporalAligner aligner(EnabledConfig(/*mu=*/0.0), 4, 3, 3, kT);
   DmaTransfer transfer = MakeTransfer(1, 0);
+  transfer.issued_bytes = 512;  // The bus issued the chunk being gated.
   // Slack is zero (exhausted) and the deadline is `now`.
   EXPECT_TRUE(aligner.Gate(0, &transfer, 512, 0).release_now);
 }
@@ -151,6 +154,7 @@ TEST(TemporalAlignerTest, CpuAccessDebitsSlack) {
   for (int i = 0; i < 100; ++i) aligner.slack().CreditArrival();
   const double before = aligner.slack().slack();
   DmaTransfer transfer = MakeTransfer(1, 0);
+  transfer.issued_bytes = 512;  // The bus issued the chunk being gated.
   aligner.Gate(2, &transfer, 512, 0);  // No extra credit: `before` holds.
   aligner.OnCpuAccess(2, /*service_time=*/Ticks(2000));
   EXPECT_DOUBLE_EQ(aligner.slack().slack(), before - 2000.0);

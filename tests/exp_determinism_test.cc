@@ -15,6 +15,7 @@
 #include "exp/sweep_runner.h"
 #include "server/simulation_driver.h"
 #include "trace/workloads.h"
+#include "util/fnv.h"
 
 namespace dmasim {
 namespace {
@@ -131,11 +132,8 @@ TEST(DeterminismTest, PinnedConfigChecksumIsStableAcrossKernelChanges) {
       SweepToJson(sweep.summary, sweep.records, /*include_timing=*/false)
           .Dump(true);
 
-  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a 64 offset basis.
-  for (unsigned char c : json) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
+  Fnv1a hash;
+  hash.MixBytes(json);
 
   // Re-running the same sweep must reproduce the bytes in-process on
   // every platform.
@@ -150,7 +148,7 @@ TEST(DeterminismTest, PinnedConfigChecksumIsStableAcrossKernelChanges) {
   // legally produce different last-bit doubles (and therefore different
   // serialized bytes).
   EXPECT_EQ(json.size(), 43447u);
-  EXPECT_EQ(hash, 6942302054424692086ULL);
+  EXPECT_EQ(hash.hash(), 6942302054424692086ULL);
 #endif
 }
 

@@ -553,14 +553,9 @@ TEST(ShardedEngineTest, WindowDigestsAreBitIdenticalAcrossPoolSizes) {
   EXPECT_EQ(run_digests(&pool), serial);
 }
 
-// The dynamic layer of the determinism proof kit. In a
-// -DDMASIM_SCHED_FUZZ=1 build, nonzero seeds perturb worker backoff, the
-// window submit order, and the pre-sort drain order — and every result
-// must stay bit-identical to the unperturbed run. In ordinary builds the
-// engine must refuse a nonzero seed rather than silently run
-// unperturbed (a fuzz campaign measuring nothing would be worse than no
-// campaign).
-#if DMASIM_SCHED_FUZZ
+// The dynamic layer of the determinism proof kit. Nonzero seeds perturb
+// worker backoff, the window submit order, and the pre-sort drain order
+// — and every result must stay bit-identical to the unperturbed run.
 TEST(ShardedEngineFuzzTest, PerturbationSeedsAreBitIdentical) {
   auto run = [](std::uint64_t seed, int threads) {
     ShardedEngine::Options options;
@@ -595,23 +590,54 @@ TEST(ShardedEngineFuzzTest, PerturbationSeedsAreBitIdentical) {
     EXPECT_EQ(run(seed, /*threads=*/3), baseline) << "seed " << seed;
   }
 }
-#else
-TEST(ShardedEngineFuzzDeathTest, OrdinaryBuildRefusesFuzzSeed) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        ShardedEngine::Options options;
-        options.lookahead = 50;
-        options.sched_fuzz_seed = 7;
-        ShardedEngine engine(options);
-        std::deque<Simulator> sims(1);
-        engine.AddShard(&sims[0], [](const ShardMessage&) {});
-        sims[0].ScheduleAt(10, []() {});
-        engine.Run(1000, /*pool=*/nullptr);
-      },
-      "sched_fuzz_seed");
+
+// Three shards that each send to the next one at the same instants, so
+// every barrier drains messages from several sources and only the
+// barrier sort makes their delivery order independent of drain order.
+std::vector<std::uint64_t> RingWindowDigests(std::uint64_t seed,
+                                             EngineFault fault) {
+  ShardedEngine::Options options;
+  options.lookahead = 50;
+  options.record_window_digests = true;
+  options.sched_fuzz_seed = seed;
+  options.fault = fault;
+  ShardedEngine engine(options);
+  std::deque<Simulator> sims(3);
+  for (int s = 0; s < 3; ++s) {
+    engine.AddShard(&sims[static_cast<std::size_t>(s)],
+                    [](const ShardMessage&) {});
+  }
+  for (int s = 0; s < 3; ++s) {
+    Simulator* sim = &sims[static_cast<std::size_t>(s)];
+    for (int i = 0; i < 20; ++i) {
+      sim->ScheduleAt(10 + i * 100, [&engine, sim, s]() {
+        engine.Send(s, (s + 1) % 3, sim->Now() + 50, /*kind=*/1, 0, 0, 0);
+      });
+    }
+  }
+  engine.Run(10000, /*pool=*/nullptr);
+  return engine.window_digests();
 }
-#endif
+
+// A seed must really perturb the schedule: with the barrier sort skipped
+// (a seeded engine fault), the permuted drain order reaches the delivery
+// order, so some seed's window digests must leave seed 0's. Without the
+// fault the sort hides the perturbation again.
+TEST(ShardedEngineFuzzTest, SeedPerturbsScheduleWhenBarrierSortIsSkipped) {
+  const std::vector<std::uint64_t> faulted =
+      RingWindowDigests(/*seed=*/0, EngineFault::kSkipBarrierSort);
+  const std::vector<std::uint64_t> sorted =
+      RingWindowDigests(/*seed=*/0, EngineFault::kNone);
+  ASSERT_FALSE(faulted.empty());
+  bool diverged = false;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    diverged |=
+        RingWindowDigests(seed, EngineFault::kSkipBarrierSort) != faulted;
+    EXPECT_EQ(RingWindowDigests(seed, EngineFault::kNone), sorted)
+        << "seed " << seed;
+  }
+  EXPECT_TRUE(diverged);
+}
 
 TEST(ShardedEngineDeathTest, SendBelowTheHorizonIsRefused) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";

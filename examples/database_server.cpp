@@ -5,18 +5,21 @@
 // and 5.4).
 //
 // Usage: database_server [duration_ms]
-#include <cstdlib>
 #include <iostream>
 
 #include "server/simulation_driver.h"
 #include "stats/table.h"
 #include "trace/workloads.h"
+#include "util/cli_flags.h"
 
 int main(int argc, char** argv) {
   using namespace dmasim;
 
   WorkloadSpec spec = OltpDatabaseSpec();
-  spec.duration = (argc > 1 ? std::atoll(argv[1]) : 150) * kMillisecond;
+  constexpr FlagParser kFlags("database_server",
+                              "usage: database_server [duration_ms]");
+  spec.duration = argc > 1 ? kFlags.Milliseconds("duration_ms", argv[1])
+                           : 150 * kMillisecond;
   const Trace trace = GenerateWorkload(spec);
 
   SimulationOptions options;

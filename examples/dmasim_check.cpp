@@ -16,17 +16,19 @@
 // Exit codes: 0 = explored clean (or --replay reproduced the recorded
 // violation), 1 = explore found a violation (or --replay failed to
 // reproduce), 2 = usage / input error.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/counterexample.h"
 #include "check/explorer.h"
 #include "check/minimizer.h"
 #include "check/shard_harness.h"
+#include "util/cli_flags.h"
 
 namespace {
 
@@ -38,15 +40,17 @@ void PrintUsage(std::FILE* out) {
       "usage: dmasim_check [options]\n"
       "  --chips N             memory chips, 1..4 (default 2)\n"
       "  --buses N             I/O buses, 1..3 (default 2)\n"
-      "  --k N                 distinct-bus release quorum (default 2)\n"
+      "  --k N                 distinct-bus release quorum, 1..3 (default 2)\n"
       "  --depth N             max choice-sequence length (default 12)\n"
-      "  --arrivals N          max DMA transfers injected (default 3)\n"
+      "  --arrivals N          max DMA transfers injected, 1..16 (default 3)\n"
       "  --cpu N               max CPU accesses injected (default 1)\n"
       "  --epochs N            max epoch boundaries crossed (default 2)\n"
-      "  --mu F                slack factor mu (default 1.0)\n"
-      "  --t-request TICKS     one I/O-bus slot T (default 480000)\n"
-      "  --transfer-requests N DMA-memory requests per transfer (default 4)\n"
-      "  --epoch-length TICKS  checker epoch (default 1000000 = 1 us)\n"
+      "  --mu F                slack factor mu, 0..1000 (default 1.0)\n"
+      "  --t-request TICKS     one I/O-bus slot T, 1..1e12 (default 480000)\n"
+      "  --transfer-requests N DMA-memory requests per transfer, 1..1000\n"
+      "                        (default 4)\n"
+      "  --epoch-length TICKS  checker epoch, 1..1e12\n"
+      "                        (default 1000000 = 1 us)\n"
       "  --policy NAME         dynamic-threshold | static-nap |\n"
       "                        static-powerdown (default static-nap)\n"
       "  --fault NAME          none | resync-skip | lost-release |\n"
@@ -63,27 +67,19 @@ void PrintUsage(std::FILE* out) {
       "shard mode (barrier-interleaving exploration, DESIGN.md §15):\n"
       "  --shard               explore sharded-engine drain orders instead\n"
       "  --shard-shards N      shards, 2..3 (default 3)\n"
-      "  --shard-events N      seed events per shard (default 2)\n"
-      "  --shard-hops N        message relay depth (default 2)\n"
+      "  --shard-events N      seed events per shard, 1..8 (default 2)\n"
+      "  --shard-hops N        message relay depth, 1..4 (default 2)\n"
       "  --shard-lookahead T   engine lookahead in ticks (default 100)\n"
-      "  --shard-windows N     barriers with enumerated drain order\n"
+      "  --shard-windows N     barriers with enumerated drain order, 0..8\n"
       "                        (default 4; runs = (shards!)^windows)\n"
       "  --engine-fault NAME   none | skip-barrier-sort | deliver-early\n"
       "  --shard --replay FILE re-execute a shard counterexample file\n");
 }
 
 
-bool ParseInt(const char* text, long long* out) {
-  char* end = nullptr;
-  *out = std::strtoll(text, &end, 10);
-  return end != text && *end == '\0';
-}
-
-bool ParseDouble(const char* text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text, &end);
-  return end != text && *end == '\0';
-}
+constexpr dmasim::FlagParser kFlags("dmasim_check");
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "dmasim_check: %s\n", message.c_str());
@@ -187,7 +183,12 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return nullptr;
       return argv[++i];
     };
-    long long n = 0;
+    // Numeric flags parse strictly into their domain (util/cli_flags.h).
+    const auto number = [&]() -> std::string_view {
+      const char* text = value();
+      if (text == nullptr) kFlags.Fail(arg + ": missing value");
+      return text;
+    };
     if (arg == "--help" || arg == "-h") {
       PrintUsage(stdout);
       return 0;
@@ -239,51 +240,50 @@ int main(int argc, char** argv) {
       }
       config.chip_model = *kind;
     } else if (arg == "--mu") {
-      const char* text = value();
-      if (text == nullptr || !ParseDouble(text, &config.mu)) {
-        return Fail("--mu needs a number");
-      }
+      config.mu = kFlags.Real(arg, number(), 0.0, kMaxCheckMu);
+    } else if (arg == "--chips") {
+      config.chips = kFlags.Integer(arg, number(), 1, kMaxCheckChips);
+    } else if (arg == "--buses") {
+      config.buses = kFlags.Integer(arg, number(), 1, kMaxCheckBuses);
+    } else if (arg == "--k") {
+      config.k = kFlags.Integer(arg, number(), 1, kMaxCheckBuses);
+    } else if (arg == "--depth") {
+      config.max_depth = kFlags.Integer(arg, number(), 1, kMaxInt);
+    } else if (arg == "--arrivals") {
+      config.max_arrivals =
+          kFlags.Integer(arg, number(), 1, kMaxCheckArrivals);
+    } else if (arg == "--cpu") {
+      config.max_cpu_accesses = kFlags.Integer(arg, number(), 0, kMaxInt);
+    } else if (arg == "--epochs") {
+      config.max_epochs = kFlags.Integer(arg, number(), 0, kMaxInt);
+    } else if (arg == "--t-request") {
+      config.t_request =
+          kFlags.Integer(arg, number(), dmasim::Tick{1}, kMaxCheckTicks);
+    } else if (arg == "--transfer-requests") {
+      config.transfer_requests = kFlags.Integer(
+          arg, number(), std::int64_t{1}, kMaxCheckTransferRequests);
+    } else if (arg == "--epoch-length") {
+      config.epoch_length =
+          kFlags.Integer(arg, number(), dmasim::Tick{1}, kMaxCheckTicks);
+    } else if (arg == "--max-states") {
+      max_states = kFlags.Integer(arg, number(), std::uint64_t{1}, kMaxU64);
+    } else if (arg == "--shard-shards") {
+      shard_config.shards =
+          kFlags.Integer(arg, number(), kMinCheckShards, kMaxCheckShards);
+    } else if (arg == "--shard-events") {
+      shard_config.events_per_shard =
+          kFlags.Integer(arg, number(), 1, kMaxCheckShardEvents);
+    } else if (arg == "--shard-hops") {
+      shard_config.max_hops =
+          kFlags.Integer(arg, number(), 1, kMaxCheckShardHops);
+    } else if (arg == "--shard-lookahead") {
+      shard_config.lookahead =
+          kFlags.Integer(arg, number(), dmasim::Tick{1}, kMaxCheckTicks);
+    } else if (arg == "--shard-windows") {
+      shard_config.max_choice_windows =
+          kFlags.Integer(arg, number(), 0, kMaxCheckShardWindows);
     } else {
-      const char* text = value();
-      if (text == nullptr || !ParseInt(text, &n)) {
-        return Fail("unknown or incomplete option \"" + arg +
-                    "\" (see --help)");
-      }
-      if (arg == "--chips") {
-        config.chips = static_cast<int>(n);
-      } else if (arg == "--buses") {
-        config.buses = static_cast<int>(n);
-      } else if (arg == "--k") {
-        config.k = static_cast<int>(n);
-      } else if (arg == "--depth") {
-        config.max_depth = static_cast<int>(n);
-      } else if (arg == "--arrivals") {
-        config.max_arrivals = static_cast<int>(n);
-      } else if (arg == "--cpu") {
-        config.max_cpu_accesses = static_cast<int>(n);
-      } else if (arg == "--epochs") {
-        config.max_epochs = static_cast<int>(n);
-      } else if (arg == "--t-request") {
-        config.t_request = n;
-      } else if (arg == "--transfer-requests") {
-        config.transfer_requests = n;
-      } else if (arg == "--epoch-length") {
-        config.epoch_length = n;
-      } else if (arg == "--max-states") {
-        max_states = static_cast<std::uint64_t>(n);
-      } else if (arg == "--shard-shards") {
-        shard_config.shards = static_cast<int>(n);
-      } else if (arg == "--shard-events") {
-        shard_config.events_per_shard = static_cast<int>(n);
-      } else if (arg == "--shard-hops") {
-        shard_config.max_hops = static_cast<int>(n);
-      } else if (arg == "--shard-lookahead") {
-        shard_config.lookahead = n;
-      } else if (arg == "--shard-windows") {
-        shard_config.max_choice_windows = static_cast<int>(n);
-      } else {
-        return Fail("unknown option \"" + arg + "\" (see --help)");
-      }
+      return Fail("unknown option \"" + arg + "\" (see --help)");
     }
   }
 

@@ -69,10 +69,8 @@ std::vector<std::string> SplitCommas(const std::string& csv) {
   return parts;
 }
 
-// Flag domains besides the shared ones in util/cli_flags.h. CP-Limits
-// are degradation fractions; 10 allows an 11x slower client.
+// Flag domains besides the shared ones in util/cli_flags.h.
 constexpr int kMaxBuses = 1024;
-constexpr double kMaxCpLimit = 10.0;
 
 constexpr FlagParser kFlags("dmasim_sweep");
 
@@ -107,9 +105,6 @@ Execution:
                      (default: preset)
   --threads N        worker threads, 0..1024 (default 0: all hardware
                      threads)
-  --sim-threads N    worker threads inside each simulation's sharded
-                     event kernel, 1..1024 (default: 1 = serial; any
-                     value is bit-identical — see DESIGN.md section 14)
   --name NAME        sweep name recorded in the artifact (default: sweep)
   --audit            run every simulation under the level-2 invariant
                      auditor (abort on violation; see DESIGN.md §10)
@@ -239,8 +234,6 @@ int main(int argc, char** argv) {
       duration_ms = kFlags.Real(arg, next(), kMinDurationMs, kMaxDurationMs);
     } else if (arg == "--threads") {
       sweep_options.threads = kFlags.Integer(arg, next(), 0, kMaxThreads);
-    } else if (arg == "--sim-threads") {
-      spec.base.sim_threads = kFlags.Integer(arg, next(), 1, kMaxThreads);
     } else if (arg == "--name") {
       spec.name = next();
     } else if (arg == "--out") {

@@ -12,6 +12,7 @@
 //   fleet_scenario --domains 8 --duration-ms 50 --workload dss
 //   fleet_scenario --sim-threads 4 --fingerprint-only
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "server/fleet_driver.h"
@@ -96,19 +98,33 @@ void WriteWindowDigests(const std::vector<std::uint64_t>& digests,
   }
 }
 
+// Reads a --window-digests file, one hex digest per non-empty line. A
+// malformed line is a usage error that names the file and line.
+std::vector<std::uint64_t> ReadWindowDigests(const std::string& path) {
+  const std::string flag = "--compare-window-digests: ";
+  std::ifstream in(path);
+  if (!in.good()) Fail(flag + "cannot read '" + path + "'");
+  std::vector<std::uint64_t> digests;
+  std::string line;
+  for (int number = 1; std::getline(in, line); ++number) {
+    if (line.empty()) continue;
+    std::uint64_t digest = 0;
+    const char* end = line.data() + line.size();
+    const auto [ptr, ec] = std::from_chars(line.data(), end, digest, 16);
+    if (ec != std::errc() || ptr != end) {
+      Fail(flag + path + ":" + std::to_string(number) +
+           ": expected a 64-bit hex digest, got '" + line + "'");
+    }
+    digests.push_back(digest);
+  }
+  return digests;
+}
+
 // Returns the process exit code: 0 on a match, 3 on divergence (with the
 // first mismatching window on stdout, which is what the CI sched-fuzz
 // smoke greps for).
 int CompareWindowDigests(const std::vector<std::uint64_t>& digests,
-                         const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) Fail("cannot read '" + path + "'");
-  std::vector<std::uint64_t> baseline;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    baseline.push_back(std::stoull(line, nullptr, 16));
-  }
+                         const std::vector<std::uint64_t>& baseline) {
   const std::size_t windows = std::min(digests.size(), baseline.size());
   for (std::size_t window = 0; window < windows; ++window) {
     if (digests[window] != baseline[window]) {
@@ -141,7 +157,7 @@ int main(int argc, char** argv) {
   std::optional<std::uint64_t> seed;
   bool fingerprint_only = false;
   std::string digests_out_path;
-  std::string digests_baseline_path;
+  std::optional<std::vector<std::uint64_t>> baseline_digests;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -187,7 +203,7 @@ int main(int argc, char** argv) {
       digests_out_path = next();
       options.record_window_digests = true;
     } else if (arg == "--compare-window-digests") {
-      digests_baseline_path = next();
+      baseline_digests = ReadWindowDigests(next());
       options.record_window_digests = true;
     } else {
       Fail("unknown option '" + arg + "'");
@@ -208,9 +224,9 @@ int main(int argc, char** argv) {
   if (!digests_out_path.empty()) {
     WriteWindowDigests(fleet.window_digests, digests_out_path);
   }
-  if (!digests_baseline_path.empty()) {
+  if (baseline_digests.has_value()) {
     const int compare_exit =
-        CompareWindowDigests(fleet.window_digests, digests_baseline_path);
+        CompareWindowDigests(fleet.window_digests, *baseline_digests);
     if (compare_exit != 0) return compare_exit;
   }
 

@@ -12,7 +12,6 @@
 // power model, not the topology.
 //
 // Usage: modern_memory_eval [duration_ms] [cp_limit] [--out FILE.json]
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -23,10 +22,14 @@
 #include "server/simulation_driver.h"
 #include "stats/table.h"
 #include "trace/workloads.h"
+#include "util/cli_flags.h"
 
 int main(int argc, char** argv) {
   using namespace dmasim;
 
+  constexpr FlagParser kFlags(
+      "modern_memory_eval",
+      "usage: modern_memory_eval [duration_ms] [cp_limit] [--out FILE.json]");
   Tick duration = 400 * kMillisecond;
   double cp_limit = 0.10;
   std::string out_path;
@@ -35,10 +38,10 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (positional == 0) {
-      duration = std::atoll(argv[i]) * kMillisecond;
+      duration = kFlags.Milliseconds("duration_ms", argv[i]);
       ++positional;
     } else {
-      cp_limit = std::atof(argv[i]);
+      cp_limit = kFlags.Real("cp_limit", argv[i], 0.0, kMaxCpLimit);
     }
   }
 

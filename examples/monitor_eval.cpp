@@ -11,20 +11,23 @@
 // monitoring overhead.
 //
 // Usage: monitor_eval [duration_ms] [cp_limit]
-#include <cstdlib>
 #include <iostream>
 
 #include "mon/scheme_parser.h"
 #include "server/simulation_driver.h"
 #include "stats/table.h"
 #include "trace/workloads.h"
+#include "util/cli_flags.h"
 
 int main(int argc, char** argv) {
   using namespace dmasim;
 
-  const Tick duration =
-      (argc > 1 ? std::atoll(argv[1]) : 400) * kMillisecond;
-  const double cp_limit = argc > 2 ? std::atof(argv[2]) : 0.10;
+  constexpr FlagParser kFlags("monitor_eval",
+                              "usage: monitor_eval [duration_ms] [cp_limit]");
+  const Tick duration = argc > 1 ? kFlags.Milliseconds("duration_ms", argv[1])
+                                 : 400 * kMillisecond;
+  const double cp_limit =
+      argc > 2 ? kFlags.Real("cp_limit", argv[2], 0.0, kMaxCpLimit) : 0.10;
 
   WorkloadSpec spec = OltpStorageSpec();
   spec.duration = duration;

@@ -2,14 +2,15 @@
 // (baseline, DMA-TA, PL alone, DMA-TA-PL) and every low-level policy for a
 // chosen workload. Useful for understanding where the energy goes.
 //
-// Usage: policy_explorer [oltp-st|synthetic-st|oltp-db|synthetic-db] [ms]
-#include <cstdlib>
+// Usage: policy_explorer [oltp-st|synthetic-st|oltp-db|synthetic-db]
+//                        [duration_ms]
 #include <iostream>
 #include <string>
 
 #include "server/simulation_driver.h"
 #include "stats/table.h"
 #include "trace/workloads.h"
+#include "util/cli_flags.h"
 
 namespace {
 
@@ -37,14 +38,24 @@ void AddBreakdownRow(TablePrinter& table, const std::string& label,
 int main(int argc, char** argv) {
   using namespace dmasim;
 
+  constexpr FlagParser kFlags(
+      "policy_explorer",
+      "usage: policy_explorer [oltp-st|synthetic-st|oltp-db|synthetic-db] "
+      "[duration_ms]");
   WorkloadSpec spec = OltpStorageSpec();
   if (argc > 1) {
     const std::string name = argv[1];
-    if (name == "synthetic-st") spec = SyntheticStorageSpec();
-    if (name == "oltp-db") spec = OltpDatabaseSpec();
-    if (name == "synthetic-db") spec = SyntheticDatabaseSpec();
+    if (name == "synthetic-st") {
+      spec = SyntheticStorageSpec();
+    } else if (name == "oltp-db") {
+      spec = OltpDatabaseSpec();
+    } else if (name == "synthetic-db") {
+      spec = SyntheticDatabaseSpec();
+    } else if (name != "oltp-st") {
+      kFlags.Fail("workload: unknown '" + name + "'");
+    }
   }
-  if (argc > 2) spec.duration = std::atoll(argv[2]) * kMillisecond;
+  if (argc > 2) spec.duration = kFlags.Milliseconds("duration_ms", argv[2]);
 
   const Trace trace = GenerateWorkload(spec);
   SimulationOptions options;

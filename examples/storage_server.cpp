@@ -5,20 +5,26 @@
 // request-path statistics.
 //
 // Usage: storage_server [duration_ms] [cache_pages]
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 
 #include "server/simulation_driver.h"
 #include "stats/table.h"
 #include "trace/workloads.h"
+#include "util/cli_flags.h"
 
 int main(int argc, char** argv) {
   using namespace dmasim;
 
-  const Tick duration =
-      (argc > 1 ? std::atoll(argv[1]) : 300) * kMillisecond;
+  constexpr FlagParser kFlags(
+      "storage_server", "usage: storage_server [duration_ms] [cache_pages]");
+  const Tick duration = argc > 1 ? kFlags.Milliseconds("duration_ms", argv[1])
+                                 : 300 * kMillisecond;
   const std::uint64_t cache_pages =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : (1ULL << 15);
+      argc > 2 ? kFlags.Integer("cache_pages", argv[2], std::uint64_t{1},
+                                std::numeric_limits<std::uint64_t>::max())
+               : (1ULL << 15);
 
   WorkloadSpec spec = OltpStorageSpec();
   spec.duration = duration;

@@ -5,7 +5,6 @@
 //
 // Usage: trace_tools [oltp-st|synthetic-st|oltp-db|synthetic-db]
 //                    [duration_ms] [output_file]
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -15,18 +14,30 @@
 #include "trace/trace.h"
 #include "trace/trace_io.h"
 #include "trace/workloads.h"
+#include "util/cli_flags.h"
 
 int main(int argc, char** argv) {
   using namespace dmasim;
 
+  constexpr FlagParser kFlags(
+      "trace_tools",
+      "usage: trace_tools [oltp-st|synthetic-st|oltp-db|synthetic-db] "
+      "[duration_ms] [output_file]");
   WorkloadSpec spec = OltpStorageSpec();
   if (argc > 1) {
     const std::string name = argv[1];
-    if (name == "synthetic-st") spec = SyntheticStorageSpec();
-    if (name == "oltp-db") spec = OltpDatabaseSpec();
-    if (name == "synthetic-db") spec = SyntheticDatabaseSpec();
+    if (name == "synthetic-st") {
+      spec = SyntheticStorageSpec();
+    } else if (name == "oltp-db") {
+      spec = OltpDatabaseSpec();
+    } else if (name == "synthetic-db") {
+      spec = SyntheticDatabaseSpec();
+    } else if (name != "oltp-st") {
+      kFlags.Fail("workload: unknown '" + name + "'");
+    }
   }
-  spec.duration = (argc > 2 ? std::atoll(argv[2]) : 100) * kMillisecond;
+  spec.duration = argc > 2 ? kFlags.Milliseconds("duration_ms", argv[2])
+                           : 100 * kMillisecond;
 
   const Trace trace = GenerateWorkload(spec);
 

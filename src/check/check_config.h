@@ -39,9 +39,20 @@ enum class CheckPolicy : int {
   kStaticPowerdown,       // active -> powerdown, rests in powerdown.
 };
 
+// Hard limits of the explored configuration (see the file comment),
+// enforced by the harness and by dmasim_check's flag parser.
+inline constexpr int kMaxCheckChips = 4;
+inline constexpr int kMaxCheckBuses = 3;
+inline constexpr int kMaxCheckArrivals = 16;
+// Flag domains of the timing knobs. Together they keep the largest
+// delay budget n * mu * T (1e3 * 1e3 * 1 s = 1e18 ps) inside the tick
+// range.
+inline constexpr double kMaxCheckMu = 1e3;
+inline constexpr std::int64_t kMaxCheckTransferRequests = 1000;
+inline constexpr Tick kMaxCheckTicks = kSecond;
+
 struct CheckerConfig {
-  // Topology. Hard limits (enforced by the harness): chips <= 4,
-  // buses <= 3 -- see the file comment.
+  // Topology, at most kMaxCheckChips x kMaxCheckBuses.
   int chips = 2;
   int buses = 2;
   // Distinct-bus quorum k (the paper's ceil(Rm / Rb)); defaults to full

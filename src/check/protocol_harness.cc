@@ -82,10 +82,11 @@ ProtocolHarness::ProtocolHarness(const CheckerConfig& config)
                config.t_request),
       auditor_(InvariantAuditor::Mode::kCollect),
       power_auditor_(reference_model_.get(), config.chips) {
-  DMASIM_EXPECTS(config.chips >= 1 && config.chips <= 4);
-  DMASIM_EXPECTS(config.buses >= 1 && config.buses <= 3);
+  DMASIM_EXPECTS(config.chips >= 1 && config.chips <= kMaxCheckChips);
+  DMASIM_EXPECTS(config.buses >= 1 && config.buses <= kMaxCheckBuses);
   DMASIM_EXPECTS(config.k >= 1);
-  DMASIM_EXPECTS(config.max_arrivals >= 1 && config.max_arrivals <= 16);
+  DMASIM_EXPECTS(config.max_arrivals >= 1 &&
+                 config.max_arrivals <= kMaxCheckArrivals);
   DMASIM_EXPECTS(config.max_cpu_accesses >= 0);
   DMASIM_EXPECTS(config.max_epochs >= 0);
   DMASIM_EXPECTS(config.max_depth >= 1);

@@ -19,13 +19,14 @@ constexpr std::uint32_t kRelayMsg = 1;
 constexpr const char* kConvergenceProperty = "shard.fingerprint-convergence";
 
 void ValidateConfig(const ShardCheckConfig& config) {
-  DMASIM_EXPECTS(config.shards >= 2 && config.shards <= 3);
+  DMASIM_EXPECTS(config.shards >= kMinCheckShards &&
+                 config.shards <= kMaxCheckShards);
   DMASIM_EXPECTS(config.events_per_shard >= 1 &&
-                 config.events_per_shard <= 8);
-  DMASIM_EXPECTS(config.max_hops >= 1 && config.max_hops <= 4);
+                 config.events_per_shard <= kMaxCheckShardEvents);
+  DMASIM_EXPECTS(config.max_hops >= 1 && config.max_hops <= kMaxCheckShardHops);
   DMASIM_EXPECTS(config.lookahead > 0);
   DMASIM_EXPECTS(config.max_choice_windows >= 0 &&
-                 config.max_choice_windows <= 8);
+                 config.max_choice_windows <= kMaxCheckShardWindows);
 }
 
 // One executed scenario event, the unit of the run fingerprint. Order

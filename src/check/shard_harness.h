@@ -40,6 +40,14 @@
 
 namespace dmasim::check {
 
+// Limits of the shard configuration, enforced by the harness and by
+// dmasim_check's flag parser.
+inline constexpr int kMinCheckShards = 2;
+inline constexpr int kMaxCheckShards = 3;
+inline constexpr int kMaxCheckShardEvents = 8;
+inline constexpr int kMaxCheckShardHops = 4;
+inline constexpr int kMaxCheckShardWindows = 8;
+
 struct ShardCheckConfig {
   int shards = 3;           // 2 or 3 (6 drain permutations at most).
   int events_per_shard = 2;  // Seed events per shard.

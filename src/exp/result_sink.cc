@@ -264,7 +264,7 @@ void SummaryTableSink::OnSweepComplete(const SweepSummary& summary,
     table.AddRow(
         {record.plan.Label(), RunStatusName(record.status),
          // J -> mJ for the report column only.
-         // unitcheck: allow(unit-literal-conversion)
+         // dmasim-lint: allow(unit-literal-conversion)
          TablePrinter::Num(record.results.energy.Total().joules() * 1e3, 1),
          TablePrinter::Num(record.results.client_response.Mean() /
                                kMicrosecond,

@@ -38,7 +38,7 @@ struct RunRecord {
 
   double mu = 0.0;           // Resolved slack budget (0 for baselines).
   // Host wall-clock measurement, not simulated time: raw by design.
-  double wall_seconds = 0.0;  // unitcheck: allow(raw-unit-decl)
+  double wall_seconds = 0.0;  // dmasim-lint: allow(raw-unit-decl)
   SimulationResults results; // Valid only when status == kOk.
 
   // Deltas vs the cell baseline (valid when both runs are ok).
@@ -57,7 +57,7 @@ struct SweepSummary {
   int ok = 0;
   int failed = 0;
   int skipped = 0;
-  double wall_seconds = 0.0;  // unitcheck: allow(raw-unit-decl) host clock
+  double wall_seconds = 0.0;  // dmasim-lint: allow(raw-unit-decl) host clock
 };
 
 class ResultSink {

@@ -70,11 +70,11 @@ struct PowerModel {
   double bytes_per_cycle = 2.0;  // Peak data rate: 3.2 GB/s.
 
   // Table 1 calibration literals: the audited raw edge the typed layer
-  // is built from (unitcheck: allow(raw-unit-decl) on each line).
-  double active_mw = 300.0;     // unitcheck: allow(raw-unit-decl)
-  double standby_mw = 180.0;    // unitcheck: allow(raw-unit-decl)
-  double nap_mw = 30.0;         // unitcheck: allow(raw-unit-decl)
-  double powerdown_mw = 3.0;    // unitcheck: allow(raw-unit-decl)
+  // is built from (dmasim-lint: allow(raw-unit-decl) on each line).
+  double active_mw = 300.0;     // dmasim-lint: allow(raw-unit-decl)
+  double standby_mw = 180.0;    // dmasim-lint: allow(raw-unit-decl)
+  double nap_mw = 30.0;         // dmasim-lint: allow(raw-unit-decl)
+  double powerdown_mw = 3.0;    // dmasim-lint: allow(raw-unit-decl)
 
   // Downward transitions (from active; also used as an approximation for
   // chained steps, e.g. standby -> nap, which the spec does not list).

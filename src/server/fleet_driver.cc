@@ -83,7 +83,7 @@ int HomeOf(const FleetShared& shared, int domain, std::uint64_t stream) {
   return (domain + 1 + static_cast<int>(peer)) % shared.domain_count;
 }
 
-// shardcheck: window-context
+// dmasim-lint: window-context
 void ForwardRemoteRead(FleetDomain* domain, int home,
                        const TraceRecord& record) {
   std::uint32_t slot;
@@ -104,7 +104,7 @@ void ForwardRemoteRead(FleetDomain* domain, int home,
       slot);
 }
 
-// shardcheck: window-context
+// dmasim-lint: window-context
 void FeedRecord(FleetDomain* domain, const TraceRecord& record,
                 std::uint64_t position) {
   switch (record.kind) {
@@ -131,7 +131,7 @@ void FeedRecord(FleetDomain* domain, const TraceRecord& record,
 }
 
 // Cursor-based feeder, the fleet counterpart of RunTrace's TraceFeeder.
-// shardcheck: window-context
+// dmasim-lint: window-context
 void PumpDomain(FleetDomain* domain) {
   while (domain->cursor < domain->trace.size() &&
          domain->trace[domain->cursor].time <= domain->simulator.Now()) {

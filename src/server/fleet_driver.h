@@ -36,7 +36,7 @@ namespace dmasim {
 // DMASIM_SHARED_CONST for the run's duration.
 struct FleetOptions {
   // Per-domain system configuration (memory, server, policy, audit
-  // knobs). `base.sim_threads` is ignored — the fleet has its own.
+  // knobs).
   DMASIM_SHARED_CONST SimulationOptions base;
   // Per-domain workload template; each domain derives its own seed (and
   // its server's) from `workload.seed` and the domain index, so domains

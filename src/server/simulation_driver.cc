@@ -5,10 +5,8 @@
 #include <utility>
 
 #include "audit/simulation_audit.h"
-#include "exp/thread_pool.h"
 #include "obs/simulation_obs.h"
 #include "obs/trace_export.h"
-#include "sim/sharded_engine.h"
 #include "sim/simulator.h"
 
 namespace dmasim {
@@ -214,35 +212,17 @@ SimulationResults RunTrace(const Trace& trace, double miss_ratio,
                                               audit_options);
   }
 
-  // Built before the observer so the obs layer can export the engine's
-  // window/mailbox counters. One controller = one shard (one
-  // memory-controller domain), so the windowed execution is exactly the
-  // serial order; the trailing RunUntil settles the clock at `end` the
-  // same way the serial branch does.
-  std::unique_ptr<ShardedEngine> engine;
-  if (options.sim_threads != 1) {
-    ShardedEngine::Options engine_options;
-    engine = std::make_unique<ShardedEngine>(engine_options);
-    engine->AddShard(&simulator, [](const ShardMessage&) {});
-  }
-
   std::unique_ptr<SimulationObserver> observer;
   if (options.obs_level >= 1) {
     SimulationObserver::Options obs_options;
     obs_options.level = options.obs_level;
     obs_options.trace_capacity = options.obs_trace_capacity;
     obs_options.simulator = &simulator;
-    obs_options.engine = engine.get();
     observer = std::make_unique<SimulationObserver>(&controller, &server,
                                                     obs_options);
   }
 
-  const Tick end = duration + options.drain;
-  if (engine != nullptr) {
-    ThreadPool pool(options.sim_threads);
-    engine->Run(end, &pool);
-  }
-  simulator.RunUntil(end);
+  simulator.RunUntil(duration + options.drain);
 
   SimulationResults results;
   if (audit != nullptr) {

@@ -57,13 +57,6 @@ struct SimulationOptions {
   // Extra simulated time after the last trace record, letting in-flight
   // transfers, gated requests, and migrations finish.
   Tick drain = 10 * kMillisecond;
-  // Worker threads for the sharded engine (sim/sharded_engine.h). A
-  // single-controller run is one shard — one memory-controller domain —
-  // so any value routes through the engine's windowed execution with
-  // identical results (the determinism suite pins this); real
-  // parallelism needs the multi-domain fleet driver. 1 = the plain
-  // serial kernel.
-  int sim_threads = 1;
 
   // --- Runtime invariant auditing (src/audit/) ---------------------------
   // 0 = off, 1 = end-of-run registry pass, 2 = + periodic passes and

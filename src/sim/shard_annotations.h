@@ -5,9 +5,9 @@
 // during a window, worker threads may touch only state owned by their
 // own shard; everything crossing shards moves through SPSC mailboxes
 // and is applied at the barrier in a sorted total order. These macros
-// make that discipline *visible in the declaration* so the
-// `tools/lint/shardcheck` static pass can enforce it: every mutable
-// member of a type in shardcheck scope (`src/sim/`,
+// make that discipline *visible in the declaration* so the ownership
+// rules of `tools/lint/dmasim_lint.py` can enforce it: every mutable
+// member of a type in their scope (`src/sim/`,
 // `src/server/fleet_driver.*`) must carry exactly one of them.
 //
 //   DMASIM_SHARD_LOCAL   Owned by a single shard (equivalently: by the
@@ -19,8 +19,8 @@
 //                        windows (at the barrier), while every worker is
 //                        parked. On a method, it additionally marks the
 //                        method as callable only from barrier context —
-//                        shardcheck flags calls from window-context
-//                        functions (those marked `// shardcheck:
+//                        the linter flags calls from window-context
+//                        functions (those marked `// dmasim-lint:
 //                        window-context`).
 //
 //   DMASIM_SHARED_CONST  Written only while the engine is quiescent (at
@@ -30,9 +30,9 @@
 //                        duration; the barrier's fork/join provides the
 //                        happens-before edge.
 //
-// The macros expand to nothing — they are parsed by shardcheck, not the
+// The macros expand to nothing — they are parsed by the linter, not the
 // compiler — so annotating costs zero object code. Waivers use
-// `// shardcheck: allow(<rule>)` on or above the offending line.
+// `// dmasim-lint: allow(<rule>)` on or above the offending line.
 #ifndef DMASIM_SIM_SHARD_ANNOTATIONS_H_
 #define DMASIM_SIM_SHARD_ANNOTATIONS_H_
 

@@ -27,7 +27,7 @@
 // the same shard set, which is what the pinned-checksum suites assert.
 //
 // That contract is machine-checked three ways (DESIGN.md §15): the
-// `shardcheck` static pass enforces the ownership annotations below, a
+// `dmasim_lint` ownership rules enforce the annotations below, a
 // nonzero `Options::sched_fuzz_seed` perturbs the schedule and re-asserts
 // the fingerprint, and `dmasim_check --shard` exhaustively explores barrier
 // drain orders. `Options::fault` seeds deliberate violations so each
@@ -54,7 +54,7 @@ class ThreadPool;  // exp/thread_pool.h; only the .cc needs the definition.
 // One cross-shard event. The engine routes and orders it; the meaning of
 // `kind` and the payload words belongs to the shard handlers (the fleet
 // driver uses them for remote client requests and their replies).
-// shardcheck: allow(unannotated-member) -- POD message value, owned by
+// dmasim-lint: allow(unannotated-member) -- POD message value, owned by
 // whichever side currently holds the copy.
 struct ShardMessage {
   Tick deliver_at = 0;
@@ -123,7 +123,7 @@ class ShardedEngine {
   // into the destination shard's simulator at `message.deliver_at`.
   using MessageHandler = TrivialCallback<void(const ShardMessage&), 24>;
 
-  // shardcheck: allow(unannotated-member) -- value type; the engine's
+  // dmasim-lint: allow(unannotated-member) -- value type; the engine's
   // copy is the annotated options_ member.
   struct Options {
     // Conservative lookahead L: the minimum cross-shard latency. Every
@@ -154,7 +154,7 @@ class ShardedEngine {
     std::uint64_t sched_fuzz_seed = 0;
   };
 
-  // shardcheck: allow(unannotated-member) -- value type; the engine's
+  // dmasim-lint: allow(unannotated-member) -- value type; the engine's
   // copy is the annotated stats_ member.
   struct Stats {
     std::uint64_t windows = 0;
@@ -221,7 +221,7 @@ class ShardedEngine {
     DMASIM_SHARD_LOCAL std::uint64_t window_events = 0;
   };
 
-  // shardcheck: window-context
+  // dmasim-lint: window-context
   void RunWindow(Shard* shard, Tick horizon, std::uint64_t window,
                  int index) {
     if (options_.sched_fuzz_seed != 0) FuzzBackoff(window, index);

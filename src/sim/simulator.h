@@ -153,7 +153,7 @@ class Simulator {
   // Calendar-queue internals, exposed so shard imbalance and the
   // overflow guard are observable (obs metrics, --metrics-out). Pure
   // counters: reading or exporting them never perturbs execution.
-  // shardcheck: allow(unannotated-member) -- value type; the kernel's
+  // dmasim-lint: allow(unannotated-member) -- value type; the kernel's
   // copy is the annotated calendar_ member.
   struct CalendarStats {
     std::uint64_t bucket_loads = 0;      // Level-0 buckets made serving.
@@ -187,7 +187,7 @@ class Simulator {
                       "event kernel popped events out of (time, seq) order");
   }
 
-  // shardcheck: allow(unannotated-member) -- POD event value stored in
+  // dmasim-lint: allow(unannotated-member) -- POD event value stored in
   // the shard-local calendar containers below.
   struct Event {
     Tick when;

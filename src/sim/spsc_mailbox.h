@@ -37,7 +37,7 @@ class SpscMailbox {
                 "mailbox messages cross threads by memcpy");
 
  public:
-  // shardcheck: allow(unannotated-member) -- value type; the mailbox's
+  // dmasim-lint: allow(unannotated-member) -- value type; the mailbox's
   // copy is the annotated stats_ member (producer-side counters).
   struct Stats {
     std::uint64_t pushed = 0;

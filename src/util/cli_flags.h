@@ -1,7 +1,8 @@
-// Strict numeric values for command-line flags, shared by the tools in
-// examples/. A value is accepted only when the whole string is one number
-// (integers in base 10, reals finite) inside the flag's domain; anything
-// else exits 2 with a message that names the flag.
+// Strict numeric values for command-line flags and positional arguments,
+// shared by the tools in examples/. A value is accepted only when the
+// whole string is one number (integers in base 10, reals finite) inside
+// the flag's domain; anything else exits 2 with a message that names the
+// flag (or the positional argument).
 #ifndef DMASIM_UTIL_CLI_FLAGS_H_
 #define DMASIM_UTIL_CLI_FLAGS_H_
 
@@ -15,6 +16,8 @@
 #include <system_error>
 #include <type_traits>
 
+#include "util/time.h"
+
 namespace dmasim {
 
 // Domains the tools share. Chip and thread counts are bounded so a typo
@@ -25,16 +28,20 @@ inline constexpr int kMaxChips = 4096;
 inline constexpr int kMaxThreads = 1024;
 inline constexpr double kMinDurationMs = 1e-6;
 inline constexpr double kMaxDurationMs = 3.6e6;
+// CP-Limits are degradation fractions; 10 allows an 11x slower client.
+inline constexpr double kMaxCpLimit = 10.0;
 
 class FlagParser {
  public:
-  // `program` prefixes every message.
-  explicit constexpr FlagParser(const char* program) : program_(program) {}
+  // `program` prefixes every message; `usage` is the hint printed after
+  // it.
+  explicit constexpr FlagParser(
+      const char* program, const char* usage = "Run with --help for usage.")
+      : program_(program), usage_(usage) {}
 
-  // Prints "<program>: <message>" and a usage hint, then exits 2.
+  // Prints "<program>: <message>" and the usage hint, then exits 2.
   [[noreturn]] void Fail(const std::string& message) const {
-    std::cerr << program_ << ": " << message << "\n"
-              << "Run with --help for usage.\n";
+    std::cerr << program_ << ": " << message << "\n" << usage_ << "\n";
     std::exit(2);
   }
 
@@ -66,6 +73,13 @@ class FlagParser {
     return value;
   }
 
+  // A whole number of milliseconds, at least 1 and at most
+  // kMaxDurationMs, as ticks: the examples' positional duration.
+  Tick Milliseconds(std::string_view name, std::string_view text) const {
+    return Integer(name, text, Tick{1}, static_cast<Tick>(kMaxDurationMs)) *
+           kMillisecond;
+  }
+
  private:
   [[noreturn]] void Reject(std::string_view flag, std::string_view text,
                            const char* kind, const std::string& lo,
@@ -81,6 +95,7 @@ class FlagParser {
   }
 
   const char* program_;
+  const char* usage_;
 };
 
 }  // namespace dmasim

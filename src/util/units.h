@@ -7,8 +7,8 @@
 // joules are expected, or a seconds/ticks mixup, is a compile error
 // instead of a silently corrupted energy figure.
 //
-// Design rules (enforced by static_asserts below and tools/lint/
-// unitcheck.py over the hot directories):
+// Design rules (enforced by static_asserts below and the unit rules of
+// tools/lint/dmasim_lint.py over the hot directories):
 //   * No implicit cross-unit construction or conversion: every type has
 //     an explicit single-argument constructor and exposes its raw value
 //     only through a named accessor (`value()` / `joules()` / ...).

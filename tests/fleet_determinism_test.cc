@@ -14,7 +14,6 @@
 
 #include "mon/scheme_parser.h"
 #include "server/fleet_driver.h"
-#include "server/simulation_driver.h"
 #include "trace/workloads.h"
 
 namespace dmasim {
@@ -140,47 +139,6 @@ TEST(FleetDeterminismTest, DeliveryLogIsThreadCountInvariant) {
       }
     }
   }
-}
-
-// The single-system driver accepts --sim-threads too: one controller is
-// one shard, so the sharded path must reproduce the serial path on the
-// whole SimulationResults surface, not just a digest.
-TEST(DriverShardingDeterminismTest, RunTraceMatchesSerialExactly) {
-  WorkloadSpec spec = OltpStorageSpec();
-  spec.duration = 8 * kMillisecond;
-  const Trace trace = GenerateWorkload(spec);
-
-  SimulationOptions serial_options;
-  serial_options.memory.dma.ta.enabled = true;
-  serial_options.memory.dma.ta.mu = 2.0;
-  serial_options.memory.dma.pl.enabled = true;
-
-  SimulationOptions sharded_options = serial_options;
-  sharded_options.sim_threads = 8;
-
-  const SimulationResults a = RunTrace(
-      trace, spec.miss_ratio, spec.duration, serial_options, spec.name);
-  const SimulationResults b = RunTrace(
-      trace, spec.miss_ratio, spec.duration, sharded_options, spec.name);
-
-  EXPECT_EQ(a.energy.Total(), b.energy.Total());
-  for (int bucket = 0; bucket < kEnergyBucketCount; ++bucket) {
-    EXPECT_EQ(a.energy.Of(static_cast<EnergyBucket>(bucket)),
-              b.energy.Of(static_cast<EnergyBucket>(bucket)))
-        << "bucket " << bucket;
-  }
-  EXPECT_EQ(a.client_response.Count(), b.client_response.Count());
-  EXPECT_EQ(a.client_response.Sum(), b.client_response.Sum());
-  EXPECT_EQ(a.chunk_service.Sum(), b.chunk_service.Sum());
-  EXPECT_EQ(a.transfer_latency.Sum(), b.transfer_latency.Sum());
-  EXPECT_EQ(a.controller.transfers_completed, b.controller.transfers_completed);
-  EXPECT_EQ(a.server.reads, b.server.reads);
-  EXPECT_EQ(a.server.misses, b.server.misses);
-  EXPECT_EQ(a.gated_requests, b.gated_requests);
-  EXPECT_EQ(a.executed_events, b.executed_events);
-  EXPECT_EQ(a.stepped_events, b.stepped_events);
-  EXPECT_EQ(a.utilization_factor, b.utilization_factor);
-  EXPECT_EQ(a.hottest_chip_share, b.hottest_chip_share);
 }
 
 }  // namespace

@@ -142,34 +142,6 @@ TEST(ObservabilityTest, MetricsReconcileWithResults) {
   EXPECT_GT(peak->count, 0u);
 }
 
-// Sharded single-system path: observing the run (including the engine's
-// window/mailbox counters) must not change its outcome.
-TEST(ObservabilityTest, ShardedObservedRunMatchesUnobservedExactly) {
-  SimulationOptions off_options = TaOptions(0);
-  off_options.sim_threads = 2;
-  SimulationOptions on_options = TaOptions(1);
-  on_options.sim_threads = 2;
-
-  const SimulationResults off = RunWorkload(ShortWorkload(), off_options);
-  const SimulationResults on = RunWorkload(ShortWorkload(), on_options);
-
-  EXPECT_EQ(off.energy.Total(), on.energy.Total());
-  EXPECT_EQ(off.executed_events, on.executed_events);
-  EXPECT_EQ(off.stepped_events, on.stepped_events);
-  EXPECT_EQ(off.client_response.Mean(), on.client_response.Mean());
-
-  // One controller = one shard: windows ran, nothing crossed shards.
-  const MetricSample* windows = FindMetric(on, "sim", "engine_windows");
-  ASSERT_NE(windows, nullptr);
-  EXPECT_GT(windows->count, 0u);
-  const MetricSample* delivered =
-      FindMetric(on, "sim", "engine_delivered_messages");
-  ASSERT_NE(delivered, nullptr);
-  EXPECT_EQ(delivered->count, 0u);
-  ASSERT_NE(FindMetric(on, "sim", "mailbox_spills"), nullptr);
-  ASSERT_NE(FindMetric(on, "sim", "max_mailbox_occupancy"), nullptr);
-}
-
 // Fleet path: the obs-on==obs-off bit-identity re-assert for the sharded
 // engine's metric export. A one-slot mailbox under real cross-domain
 // traffic forces spills, so the exported counters are exercised nonzero.

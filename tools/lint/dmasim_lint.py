@@ -2,125 +2,60 @@
 """Repo-specific static checks for dmasim.
 
 Enforces the invariants the simulator's performance and determinism story
-rests on, which generic linters cannot know about:
+rests on, which generic linters cannot know about. One engine runs three
+rule modules; each module's docstring is its rule catalog:
 
-  std-function        No std::function in the hot-path directories
-                      (src/sim, src/mem, src/io, src/core): the event
-                      kernel and chunk pipeline are allocation-free by
-                      design; callbacks use InlineFunction/TrivialCallback.
-  heap-alloc          No heap allocation (new, make_unique/make_shared,
-                      malloc/calloc/realloc) in the hot-path directories.
-                      Placement new is allowed (slab/SBO construction).
-                      One-time construction sites carry suppressions.
-  unordered-iteration Iterating an unordered container produces
-                      implementation-defined order; unless the results
-                      are sorted (or order-independent) before use, run
-                      results silently stop being deterministic.
-  float-energy        Energy accounting uses double + integer ticks
-                      everywhere; a single float truncation breaks the
-                      auditor's bit-exact shadow accounting. Also flags
-                      a conditional whose arms mix dimensions (an
-                      energy value vs a power value): both are raw
-                      doubles, so the mix compiles clean and corrupts
-                      the accounting by a factor of the elapsed time.
-  counter-narrowing   No static_cast of tick/energy expressions to an
-                      integer type narrower than 64 bits in the hot-path
-                      directories: ticks are int64 picoseconds, so a
-                      32-bit truncation wraps after ~2 ms of simulated
-                      time and corrupts every derived statistic.
-  float-compare       No ==/!= against floating-point literals in the
-                      hot-path directories; after arithmetic, exact
-                      equality is a latent heisenbug. Compare against an
-                      epsilon or restructure to integer ticks.
-  nondeterminism-source
-                      No std::random_device, wall clocks (time(),
-                      chrono::system_clock/steady_clock/high_resolution_
-                      clock), rand(), or pointer-keyed map/set in the
-                      hot-path directories: anything that varies across
-                      runs (entropy, wall time, ASLR-dependent pointer
-                      order) breaks the N-thread == 1-thread bit-identity
-                      contract (DESIGN.md section 15). Seeded
-                      util/random.h PRNGs and integer sim ticks are the
-                      deterministic substitutes.
-  header-guard        Guards follow DMASIM_<DIR>_<FILE>_H_.
+  source_rules.py     Hot-path allocation, precision and determinism bans,
+                      unordered iteration, header guards.
+  ownership_rules.py  Shard-ownership discipline of the sharded engine
+                      (DESIGN.md section 15).
+  unit_rules.py       Unit-dimension discipline of the util/units.h
+                      quantity types (DESIGN.md section 17).
+
+The engine scans every .h/.cc file under <root>/src with comments and
+string literals blanked, so a rule never matches prose or a string.
 
 A finding can be waived with a comment on the same or preceding line:
 
     // dmasim-lint: allow(<rule>)  -- why this site is fine
 
+For unannotated-member, the same comment on a class/struct head line
+waives the whole body (the value-type opt-out). A function whose body
+runs on a worker thread inside an engine window is marked with
+
+    // dmasim-lint: window-context
+
+on the line before it (see barrier-only-in-window).
+
 Exit status: 0 clean, 1 findings, 2 bad invocation / self-test failure.
-`--self-test` runs the linter over tools/lint/fixtures and verifies every
-expected finding (and nothing else) is produced, so a rule that silently
-stops matching fails CI instead of rotting.
+`--self-test` scans tools/lint/fixtures, where every expected finding
+carries `// expect-lint: <rule>`. It fails unless the GitHub-format scan
+exits 1 and prints exactly one ::error annotation per expected finding
+and nothing else, and every rule fires at least once, so a rule that
+silently stops matching fails CI instead of rotting.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import pathlib
 import re
+import subprocess
 import sys
-from typing import Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Set
 
-HOT_PATH_DIRS = ("src/sim", "src/mem", "src/io", "src/core", "src/mon")
+import ownership_rules
+import source_rules
+import unit_rules
 
-SUPPRESS_RE = re.compile(r"//.*?dmasim-lint:\s*allow\(([a-z-]+)\)")
+RULE_MODULES = (source_rules, ownership_rules, unit_rules)
+
+WAIVER_RE = re.compile(r"//.*?dmasim-lint:\s*allow\(([a-z-]+)\)")
+WINDOW_CONTEXT_RE = re.compile(r"//\s*dmasim-lint:\s*window-context\b")
 EXPECT_RE = re.compile(r"//\s*expect-lint:\s*([a-z-]+)")
-
-STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\b")
-# A new-expression that is not placement new: `new Foo`, `new (std::nothrow)`
-# is also flagged (still a heap allocation), but `new (address) Foo` --
-# placement new on slab/SBO storage -- is the allocation-free idiom and
-# passes. Distinguishing them: placement new is written `new (expr) Type`
-# where expr is not std::nothrow; in this codebase placement new always
-# appears as `::new (...)`, so plain `new` followed by `(` without the
-# leading `::` is conservatively treated as placement only when spelled
-# `::new`.
-NEW_EXPR_RE = re.compile(r"(?<![:\w])new\s+[(\w:]")
-PLACEMENT_NEW_RE = re.compile(r"::\s*new\s*\(")
-MAKE_HEAP_RE = re.compile(r"\bstd\s*::\s*make_(?:unique|shared)\b")
-C_ALLOC_RE = re.compile(r"\b(?:malloc|calloc|realloc)\s*\(")
-FLOAT_RE = re.compile(r"\bfloat\b")
-# A conditional whose arms mix unit dimensions: one arm an energy value
-# (joules), the other a power value (milliwatts). Both arms are raw
-# doubles, so `cond ? joules : mw` compiles clean and corrupts the
-# energy accounting by a factor of the elapsed time; the bare `float`
-# keyword check cannot see it. Arm spans are heuristic (single line, up
-# to the next `;`/`,`/`)`), which covers the repo's expression style.
-TERNARY_ARMS_RE = re.compile(r"\?\s*([^:?]+?)\s*:\s*([^;,)]+)")
-ENERGY_ARM_RE = re.compile(r"\b\w*(?:joules?|_j)\b")
-POWER_ARM_RE = re.compile(r"\b\w*(?:_mw|milliwatts?)\b")
-UNORDERED_DECL_RE = re.compile(
-    r"\bstd\s*::\s*unordered_(?:map|set|multimap|multiset)\s*<.*?>\s+(\w+)")
-RANGE_FOR_RE = re.compile(r"\bfor\s*\(.*?:\s*(\w+)\s*\)")
-# static_cast to an integer type narrower than 64 bits. The opening paren
-# is included so the balanced argument can be extracted and inspected.
-NARROW_CAST_RE = re.compile(
-    r"\bstatic_cast\s*<\s*(?:std\s*::\s*)?"
-    r"(?:int|unsigned(?:\s+int)?|short|u?int(?:8|16|32)_t)\s*>\s*\(")
-# Identifiers that mark a cast argument as a 64-bit tick or energy
-# counter. Heuristic by design: names follow the repo's conventions
-# (Tick-typed locals/members, *_at timestamps, joules/energy doubles).
-TICK_ENERGY_TOKEN_RE = re.compile(
-    r"\b(?:Tick|[Nn]ow|ticks?|deadline\w*|duration\w*|elapsed\w*|"
-    r"epoch\w*|\w+_at\b|joules\w*|energy\w*|residency\w*)")
-# A floating-point literal: 1.0, .5, 2.5e3, 1e-9, with optional f suffix.
-_FLOAT_LITERAL = r"(?:(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)f?"
-FLOAT_COMPARE_RE = re.compile(
-    rf"(?:{_FLOAT_LITERAL})\s*(?:==|!=)(?!=)|(?:==|!=)\s*[-+]?{_FLOAT_LITERAL}")
-RANDOM_DEVICE_RE = re.compile(r"\bstd\s*::\s*random_device\b")
-WALL_CLOCK_RE = re.compile(
-    r"\bstd\s*::\s*chrono\s*::\s*"
-    r"(?:system_clock|steady_clock|high_resolution_clock)\b")
-# A call of the C `time()` function: either `std::time(` or a bare
-# `time(` not preceded by a word character, member access, or `::`
-# (so `deliver_time(...)`, `obj.time()`, and `Sim::time()` don't match).
-TIME_CALL_RE = re.compile(r"(?:\bstd\s*::\s*|(?<![\w.:>]))time\s*\(")
-RAND_CALL_RE = re.compile(r"(?:\bstd\s*::\s*|(?<![\w.:>]))s?rand\s*\(")
-# A map/set keyed by a pointer type: iteration order depends on ASLR.
-POINTER_KEY_RE = re.compile(
-    r"\bstd\s*::\s*(?:unordered_)?(?:map|multimap)\s*<\s*[\w:<> ]*?\*\s*,"
-    r"|\bstd\s*::\s*(?:unordered_)?(?:set|multiset)\s*<\s*[\w:<> ]*?\*\s*>")
+GITHUB_ERROR_RE = re.compile(
+    r"^::error file=([^,]+),line=(\d+),title=dmasim-lint \[([a-z-]+)\]::")
 
 
 class Finding(NamedTuple):
@@ -192,162 +127,41 @@ def strip_comments_and_strings(text: str) -> str:
     return "".join(out)
 
 
-def suppressions_for(raw_lines: List[str]) -> List[Set[str]]:
-    """Rules waived per line: an allow() covers its own and the next line."""
-    waived: List[Set[str]] = [set() for _ in raw_lines]
-    for index, line in enumerate(raw_lines):
-        for match in SUPPRESS_RE.finditer(line):
-            waived[index].add(match.group(1))
-            if index + 1 < len(raw_lines):
-                waived[index + 1].add(match.group(1))
-    return waived
+class SourceFile:
+    """One scanned file, as every rule module sees it."""
 
+    def __init__(self, path: str, text: str) -> None:
+        self.path = path  # Relative to the scanned root, POSIX separators.
+        self.raw_lines = text.splitlines()
+        self.code = strip_comments_and_strings(text)
+        self.code_lines = self.code.splitlines()
+        # Rules named by an allow() on each line (that line only).
+        self.allows: List[Set[str]] = [set(WAIVER_RE.findall(line))
+                                       for line in self.raw_lines]
+        # Line indices of window-context markers.
+        self.window_context_markers = [
+            i for i, line in enumerate(self.raw_lines)
+            if WINDOW_CONTEXT_RE.search(line)]
 
-def in_hot_path(rel_path: str) -> bool:
-    return any(rel_path.startswith(prefix + "/") for prefix in HOT_PATH_DIRS)
+    def under(self, prefixes) -> bool:
+        return self.path.startswith(prefixes)
 
-
-def balanced_argument(line: str, open_index: int) -> str:
-    """The parenthesized argument starting at `open_index` ('(').
-
-    Single-line only: an argument spilling to the next line is returned
-    up to the line end, which is enough for the token heuristics.
-    """
-    depth = 0
-    for i in range(open_index, len(line)):
-        if line[i] == "(":
-            depth += 1
-        elif line[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return line[open_index + 1:i]
-    return line[open_index + 1:]
-
-
-def expected_guard(rel_path: str) -> str:
-    # src/core/slack_account.h -> DMASIM_CORE_SLACK_ACCOUNT_H_
-    parts = pathlib.PurePosixPath(rel_path).parts[1:]  # Drop leading src/.
-    stem = "_".join(parts)
-    stem = re.sub(r"\.h$", "", stem)
-    return "DMASIM_" + re.sub(r"[^A-Za-z0-9]", "_", stem).upper() + "_H_"
-
-
-def check_file(rel_path: str, text: str) -> List[Finding]:
-    raw_lines = text.splitlines()
-    code_lines = strip_comments_and_strings(text).splitlines()
-    waived = suppressions_for(raw_lines)
-    findings: List[Finding] = []
-
-    def report(line_index: int, rule: str, message: str) -> None:
-        if rule not in waived[line_index]:
-            findings.append(Finding(rel_path, line_index + 1, rule, message))
-
-    hot = in_hot_path(rel_path)
-    unordered_names: Set[str] = set()
-
-    for index, line in enumerate(code_lines):
-        if hot:
-            if STD_FUNCTION_RE.search(line):
-                report(index, "std-function",
-                       "std::function in a hot-path directory; use "
-                       "InlineFunction/TrivialCallback (src/sim/"
-                       "inline_function.h)")
-            heap_hit = (MAKE_HEAP_RE.search(line) or C_ALLOC_RE.search(line))
-            if not heap_hit and NEW_EXPR_RE.search(line):
-                without_placement = PLACEMENT_NEW_RE.sub("        ", line)
-                heap_hit = NEW_EXPR_RE.search(without_placement)
-            if heap_hit:
-                report(index, "heap-alloc",
-                       "heap allocation in a hot-path directory; only "
-                       "placement new on preallocated storage is "
-                       "allocation-free")
-            for match in NARROW_CAST_RE.finditer(line):
-                argument = balanced_argument(line, match.end() - 1)
-                # sizeof(Tick) is a size, not a counter value.
-                argument = re.sub(r"\bsizeof\s*\([^)]*\)", "", argument)
-                if TICK_ENERGY_TOKEN_RE.search(argument):
-                    report(index, "counter-narrowing",
-                           "static_cast of a tick/energy counter to a "
-                           "<64-bit integer type; ticks are int64 "
-                           "picoseconds and wrap a 32-bit value after "
-                           "~2 ms of simulated time")
-            if FLOAT_COMPARE_RE.search(line):
-                report(index, "float-compare",
-                       "==/!= against a floating-point literal in a "
-                       "hot-path directory; compare with an epsilon or "
-                       "use integer ticks")
-            if RANDOM_DEVICE_RE.search(line):
-                report(index, "nondeterminism-source",
-                       "std::random_device draws real entropy; seed a "
-                       "util/random.h PRNG from configuration instead")
-            if WALL_CLOCK_RE.search(line):
-                report(index, "nondeterminism-source",
-                       "wall-clock reads vary across runs; simulation "
-                       "state must be a function of integer sim ticks")
-            if TIME_CALL_RE.search(line) or RAND_CALL_RE.search(line):
-                report(index, "nondeterminism-source",
-                       "C time()/rand() in a hot-path directory; use sim "
-                       "ticks and seeded util/random.h PRNGs")
-            if POINTER_KEY_RE.search(line):
-                report(index, "nondeterminism-source",
-                       "pointer-keyed map/set iterates in ASLR-dependent "
-                       "address order; key by a stable id instead")
-        if FLOAT_RE.search(line):
-            report(index, "float-energy",
-                   "float arithmetic; energy accounting is double + "
-                   "integer ticks end to end")
-        for match in TERNARY_ARMS_RE.finditer(line):
-            arm_a, arm_b = match.group(1), match.group(2)
-            a_energy = bool(ENERGY_ARM_RE.search(arm_a))
-            b_energy = bool(ENERGY_ARM_RE.search(arm_b))
-            a_power = bool(POWER_ARM_RE.search(arm_a))
-            b_power = bool(POWER_ARM_RE.search(arm_b))
-            if ((a_energy and not a_power and b_power and not b_energy)
-                    or (b_energy and not b_power
-                        and a_power and not a_energy)):
-                report(index, "float-energy",
-                       "conditional mixes an energy arm with a power "
-                       "arm; both are raw doubles so the dimension slip "
-                       "compiles clean -- convert with EnergyOver "
-                       "(util/units.h) first")
-        for match in UNORDERED_DECL_RE.finditer(line):
-            unordered_names.add(match.group(1))
-        for match in RANGE_FOR_RE.finditer(line):
-            if match.group(1) in unordered_names:
-                report(index, "unordered-iteration",
-                       f"iteration over unordered container "
-                       f"'{match.group(1)}' has implementation-defined "
-                       f"order; sort before consuming or justify with a "
-                       f"suppression")
-
-    if rel_path.endswith(".h"):
-        guard = expected_guard(rel_path)
-        guard_line = next(
-            (i for i, line in enumerate(code_lines)
-             if line.strip().startswith("#ifndef")), None)
-        if guard_line is None:
-            report(0, "header-guard", f"missing include guard {guard}")
-        else:
-            tokens = code_lines[guard_line].split()
-            actual = tokens[1] if len(tokens) > 1 else ""
-            if actual != guard:
-                report(guard_line, "header-guard",
-                       f"guard is '{actual}', expected '{guard}'")
-
-    return findings
+    def waived(self, index: int, rule: str) -> bool:
+        """An allow() covers its own line and the next one."""
+        return any(rule in self.allows[i] for i in (index, index - 1)
+                   if 0 <= i < len(self.allows))
 
 
 def scan(root: pathlib.Path) -> List[Finding]:
-    findings: List[Finding] = []
-    src = root / "src"
-    if not src.is_dir():
-        raise SystemExit(f"dmasim_lint: no src/ under {root}")
-    for path in sorted(src.rglob("*")):
-        if path.suffix not in (".h", ".cc"):
-            continue
-        rel = path.relative_to(root).as_posix()
-        findings.extend(check_file(rel, path.read_text(encoding="utf-8")))
-    return findings
+    files = [SourceFile(path.relative_to(root).as_posix(),
+                        path.read_text(encoding="utf-8"))
+             for path in sorted((root / "src").rglob("*"))
+             if path.suffix in (".h", ".cc")]
+    findings = [Finding(file.path, index + 1, rule, message)
+                for module in RULE_MODULES
+                for file, index, rule, message in module.check(files)
+                if not file.waived(index, rule)]
+    return sorted(findings)
 
 
 def print_findings(findings: Iterable[Finding], fmt: str = "text") -> None:
@@ -360,28 +174,51 @@ def print_findings(findings: Iterable[Finding], fmt: str = "text") -> None:
             print(f"{f.path}:{f.line}: [{f.rule}] {f.message}")
 
 
-def self_test(fixtures_root: pathlib.Path) -> int:
-    """Every `// expect-lint: rule` annotation must match one finding."""
-    expected: Set[Tuple[str, int, str]] = set()
-    for path in sorted((fixtures_root / "src").rglob("*")):
+def self_test() -> int:
+    """The fixture scan must report each expect-lint annotation once."""
+    fixtures = pathlib.Path(__file__).resolve().parent / "fixtures"
+    expected: collections.Counter = collections.Counter()
+    for path in sorted((fixtures / "src").rglob("*")):
         if path.suffix not in (".h", ".cc"):
             continue
-        rel = path.relative_to(fixtures_root).as_posix()
-        for index, line in enumerate(path.read_text().splitlines()):
+        rel = path.relative_to(fixtures).as_posix()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for index, line in enumerate(lines):
             for match in EXPECT_RE.finditer(line):
-                expected.add((rel, index + 1, match.group(1)))
+                expected[(rel, index + 1, match.group(1))] += 1
 
-    actual = {(f.path, f.line, f.rule) for f in scan(fixtures_root)}
-    missing = expected - actual
-    surplus = actual - expected
-    for rel, line, rule in sorted(missing):
-        print(f"self-test: {rel}:{line}: expected [{rule}], not reported")
-    for rel, line, rule in sorted(surplus):
-        print(f"self-test: {rel}:{line}: unexpected [{rule}]")
-    if missing or surplus:
+    # Through the command line, as CI runs it: exit status and the
+    # ::error annotations are part of the contract.
+    run = subprocess.run(
+        [sys.executable, __file__, "--root", str(fixtures),
+         "--format=github"], capture_output=True, text=True, check=False)
+    problems = []
+    if run.returncode != 1:
+        problems.append(f"fixture scan exited {run.returncode}, expected 1"
+                        f"\n{run.stderr}")
+    reported: collections.Counter = collections.Counter()
+    for line in run.stdout.splitlines():
+        if not line.startswith("::error"):
+            continue
+        match = GITHUB_ERROR_RE.match(line)
+        if match:
+            reported[(match[1], int(match[2]), match[3])] += 1
+        else:
+            problems.append(f"malformed annotation: {line}")
+    for rel, line, rule in sorted(expected - reported):
+        problems.append(f"{rel}:{line}: expected [{rule}], not reported")
+    for rel, line, rule in sorted(reported - expected):
+        problems.append(f"{rel}:{line}: unexpected [{rule}]")
+    fired = {rule for _, _, rule in expected}
+    for rule in sorted(set().union(*(m.RULES for m in RULE_MODULES))
+                       - fired):
+        problems.append(f"rule [{rule}] has no expect-lint fixture")
+    for problem in problems:
+        print(f"self-test: {problem}")
+    if problems:
         return 2
-    print(f"self-test: ok ({len(expected)} expected findings, "
-          f"all reported, no extras)")
+    print(f"self-test: ok ({sum(expected.values())} expected findings, "
+          f"{len(fired)} rules, all reported, no extras)")
     return 0
 
 
@@ -399,7 +236,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.self_test:
-        return self_test(pathlib.Path(__file__).resolve().parent / "fixtures")
+        return self_test()
+    if not (args.root / "src").is_dir():
+        parser.error(f"no src/ under {args.root}")
 
     findings = scan(args.root)
     print_findings(findings, args.format)

@@ -10,7 +10,7 @@ struct NarrowCounters {
   Tick now = 0;
   Tick deadline = 0;
   Tick gated_at = 0;
-  double energy_joules = 0.0;
+  double energy_joules = 0.0;  // expect-lint: raw-unit-decl
   int chips = 4;
 
   void Truncate() {

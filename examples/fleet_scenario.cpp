@@ -50,8 +50,9 @@ void PrintUsage() {
       R"(Usage: fleet_scenario [options]
   --domains N          memory-controller domains / engine shards,
                        1..4096 (default: 32)
-  --sim-threads N      engine worker threads, 1..1024 (default: 1 =
-                       serial; results are bit-identical for any value)
+  --sim-threads N      engine threads, 1..1024 (default: 1 = serial);
+                       a run uses at most one per domain and per host
+                       core; results are bit-identical for any value
   --duration-ms N      simulated milliseconds, 1e-6..3.6e6 (default: 20)
   --workload NAME      per-domain workload: oltp-st, synth-st, oltp-db,
                        synth-db, dss (default: oltp-st)
@@ -245,7 +246,7 @@ int main(int argc, char** argv) {
             << " chips total), "
             << options.domains * options.streams_per_domain
             << " client streams, workload " << options.workload.name << "\n"
-            << "engine: " << options.sim_threads << " thread(s), "
+            << "engine: " << fleet.engine.threads << " thread(s), "
             << fleet.engine.windows << " windows, "
             << fleet.engine.delivered_messages << " cross-shard messages, "
             << fleet.engine.mailbox_spills << " mailbox spills\n"

@@ -115,7 +115,7 @@ class ShardScenario {
     }
   }
 
-  void Run() { engine_.Run(kRunUntil, nullptr); }
+  void Run() { engine_.Run(kRunUntil, /*threads=*/1); }
 
   std::uint64_t Fingerprint() const {
     Fnv1a hash;

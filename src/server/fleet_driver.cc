@@ -1,14 +1,15 @@
 #include "server/fleet_driver.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <deque>
 #include <memory>
+#include <thread>
 #include <utility>
 
 #include "audit/shard_audit.h"
 #include "audit/simulation_audit.h"
-#include "exp/thread_pool.h"
 #include "obs/simulation_obs.h"
 #include "util/fnv.h"
 #include "util/random.h"
@@ -216,6 +217,7 @@ std::uint64_t FleetResults::Fingerprint() const {
 
 FleetResults RunFleet(const FleetOptions& options) {
   DMASIM_EXPECTS(options.domains >= 1);
+  DMASIM_EXPECTS(options.sim_threads >= 1);
   DMASIM_EXPECTS(options.streams_per_domain > 0);
   DMASIM_EXPECTS(options.remote_fraction >= 0.0 &&
                  options.remote_fraction <= 1.0);
@@ -312,12 +314,11 @@ FleetResults RunFleet(const FleetOptions& options) {
   }
 
   const Tick end = options.workload.duration + options.base.drain;
-  if (options.sim_threads != 1 && options.domains > 1) {
-    ThreadPool pool(options.sim_threads);
-    engine.Run(end, &pool);
-  } else {
-    engine.Run(end, nullptr);
-  }
+  // More members than cores only makes them take turns on a core: the
+  // team never runs more threads than the host has.
+  const int cores =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  engine.Run(end, std::min(options.sim_threads, cores));
   for (FleetDomain& domain : domains) domain.simulator.RunUntil(end);
 
   FleetResults fleet;

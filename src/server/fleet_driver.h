@@ -44,7 +44,9 @@ struct FleetOptions {
   DMASIM_SHARED_CONST WorkloadSpec workload;
 
   DMASIM_SHARED_CONST int domains = 4;
-  // Engine worker threads; 1 = serial. Any value is bit-identical.
+  // Engine threads, >= 1; 1 = serial. The run uses at most one per
+  // domain and per host core (FleetResults::engine.threads reports how
+  // many it used). Any value is bit-identical.
   DMASIM_SHARED_CONST int sim_threads = 1;
 
   // Fraction of client streams homed on a remote domain (0 disables

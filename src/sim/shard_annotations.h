@@ -16,8 +16,8 @@
 //                        written by any other thread during a window.
 //
 //   DMASIM_BARRIER_ONLY  Touched only on the coordinator thread between
-//                        windows (at the barrier), while every worker is
-//                        parked. On a method, it additionally marks the
+//                        windows (at the barrier), while every worker
+//                        waits. On a method, it additionally marks the
 //                        method as callable only from barrier context —
 //                        the linter flags calls from window-context
 //                        functions (those marked `// dmasim-lint:
@@ -27,8 +27,8 @@
 //                        setup or between windows, before workers are
 //                        released) and read-only to every worker during
 //                        a window. Logically const for the window's
-//                        duration; the barrier's fork/join provides the
-//                        happens-before edge.
+//                        duration; the team's epoch store that opens
+//                        the window provides the happens-before edge.
 //
 // The macros expand to nothing — they are parsed by the linter, not the
 // compiler — so annotating costs zero object code. Waivers use

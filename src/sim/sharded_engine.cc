@@ -1,15 +1,138 @@
 #include "sim/sharded_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <numeric>
 #include <thread>
 
-#include "exp/thread_pool.h"
 #include "util/fnv.h"
 #include "util/random.h"
 
 namespace dmasim {
+
+namespace {
+
+// How long a waiting team member polls before it parks, counted in polls
+// because src/sim reads no clock. The first polls spin on the core; the
+// rest yield it, so a team with more members than free cores hands the
+// core to the member it waits for instead of burning it. Together they
+// outlast the coordinator's barrier work between two windows, so a
+// member that keeps up rarely pays for a sleep and a wake-up.
+constexpr int kSpinPolls = 256;
+constexpr int kYieldPolls = 768;
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+// Polls, then parks, until `word` leaves `old`; returns its new value.
+std::uint32_t AwaitChange(const std::atomic<std::uint32_t>& word,
+                          std::uint32_t old) {
+  for (int poll = 0; poll < kSpinPolls + kYieldPolls; ++poll) {
+    const std::uint32_t now = word.load(std::memory_order_acquire);
+    if (now != old) return now;
+    if (poll < kSpinPolls) {
+      CpuRelax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  word.wait(old, std::memory_order_acquire);
+  return word.load(std::memory_order_acquire);
+}
+
+// The threads that execute the windows of one ShardedEngine::Run. The
+// calling thread is member 0 and coordinates; members 1..T-1 are threads
+// that live exactly as long as the team. One RunRound is one window:
+//   * the coordinator advances `epoch_`, which publishes the window's
+//     parameters (written before it), then runs body(0);
+//   * every other member sees the epoch move, runs body(member), and
+//     increments `done_`;
+//   * the round ends when the coordinator reads `done_` == T-1, which
+//     orders every member's window writes before the barrier.
+// Every wait polls, then parks on std::atomic::wait (AwaitChange). Only
+// the member that completes the count notifies: the count only grows
+// within a round, so a parked coordinator needs no other wake-up.
+class WorkerTeam {
+ public:
+  using Body = TrivialCallback<void(int member), 16>;
+
+  WorkerTeam(int members, Body body)
+      : others_(static_cast<std::uint32_t>(members - 1)), body_(body) {
+    threads_.reserve(static_cast<std::size_t>(members - 1));
+    for (int member = 1; member < members; ++member) {
+      threads_.emplace_back([this, member]() { MemberLoop(member); });
+    }
+  }
+
+  ~WorkerTeam() {
+    stopping_ = true;
+    Open();
+    for (std::thread& thread : threads_) thread.join();
+  }
+
+  WorkerTeam(const WorkerTeam&) = delete;
+  WorkerTeam& operator=(const WorkerTeam&) = delete;
+
+  // Runs body(m) once for every member m; returns when all have.
+  DMASIM_BARRIER_ONLY void RunRound() {
+    Open();
+    body_(0);
+    std::uint32_t done = done_.load(std::memory_order_acquire);
+    while (done != others_) done = AwaitChange(done_, done);
+    // Published to the members by the next Open.
+    done_.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  // Releases the members into the next round, or out of their loops
+  // once `stopping_` is set.
+  DMASIM_BARRIER_ONLY void Open() {
+    // The release half publishes the round's parameters. seq_cst also
+    // keeps the store ahead of notify_all's check for parked waiters, so
+    // a member parking at that moment cannot miss its wake-up.
+    epoch_.store(epoch_.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_seq_cst);
+    epoch_.notify_all();
+  }
+
+  // dmasim-lint: window-context
+  void MemberLoop(int member) {
+    std::uint32_t seen = 0;
+    while (true) {
+      seen = AwaitChange(epoch_, seen);
+      if (stopping_) return;
+      body_(member);
+      // acq_rel at least, to release this member's window writes to the
+      // coordinator; seq_cst for the same wake-up reason as in Open.
+      if (done_.fetch_add(1, std::memory_order_seq_cst) + 1 == others_) {
+        done_.notify_one();
+      }
+    }
+  }
+
+  // Members besides the coordinator: the count that closes a round.
+  DMASIM_SHARED_CONST std::uint32_t others_;
+  DMASIM_SHARED_CONST Body body_;
+  // Set once, by the destructor, before its final Open.
+  DMASIM_SHARED_CONST bool stopping_ = false;
+  // Rounds opened so far; only the coordinator writes it.
+  DMASIM_BARRIER_ONLY std::atomic<std::uint32_t> epoch_{0};
+  // Members other than the coordinator that finished the current round.
+  // It is the barrier's own synchronization rather than state the
+  // barrier protects, and every member writes it.
+  // dmasim-lint: allow(unannotated-member) -- multi-writer barrier count
+  std::atomic<std::uint32_t> done_{0};
+  // Last, after everything the member threads use.
+  DMASIM_BARRIER_ONLY std::vector<std::thread> threads_;
+};
+
+}  // namespace
 
 const char* EngineFaultName(EngineFault fault) {
   switch (fault) {
@@ -159,12 +282,18 @@ void ShardedEngine::DeliverMail(std::uint64_t window, Tick horizon) {
   }
 }
 
-void ShardedEngine::Run(Tick until, ThreadPool* pool) {
+void ShardedEngine::Run(Tick until, int threads) {
   DMASIM_EXPECTS(shard_count() > 0);
+  DMASIM_EXPECTS(threads >= 1);
   DMASIM_EXPECTS(until < std::numeric_limits<Tick>::max());
   const int n = shard_count();
   if (n > 1) DMASIM_EXPECTS(options_.lookahead > 0);
   running_ = true;
+  const int members = std::min(threads, n);
+  stats_.threads = members;
+  WorkerTeam team(members,
+                  [this, members](int member) { RunShare(member, members); });
+  window_order_.resize(static_cast<std::size_t>(n));
 
   while (true) {
     Tick min_next = Simulator::kNoPendingEvent;
@@ -183,31 +312,19 @@ void ShardedEngine::Run(Tick until, ThreadPool* pool) {
           min_next <= reach ? min_next + options_.lookahead : max_tick;
       horizon = std::min(horizon, by_lookahead);
     }
-    current_horizon_ = horizon;
     const std::uint64_t window = stats_.windows;
+    current_horizon_ = horizon;
+    current_window_ = window;
     if (options_.hooks != nullptr) {
       options_.hooks->OnWindowStart(window, horizon);
     }
 
-    drain_order_.resize(static_cast<std::size_t>(n));
-    std::iota(drain_order_.begin(), drain_order_.end(), 0);
-    // Perturbed submit/execution order: share-nothing windows make the
-    // order immaterial, which is exactly what this checks.
-    if (options_.sched_fuzz_seed != 0) FuzzPermute(&drain_order_);
-    if (pool != nullptr && n > 1) {
-      for (int index : drain_order_) {
-        Shard* task_shard = &shards_[static_cast<std::size_t>(index)];
-        pool->Submit([this, task_shard, horizon, window, index]() {
-          RunWindow(task_shard, horizon, window, index);
-        });
-      }
-      pool->Wait();
-    } else {
-      for (int index : drain_order_) {
-        RunWindow(&shards_[static_cast<std::size_t>(index)], horizon, window,
-                  index);
-      }
-    }
+    std::iota(window_order_.begin(), window_order_.end(), 0);
+    // Perturbed execution order, and so a perturbed shard-to-member map:
+    // share-nothing windows make both immaterial, which is exactly what
+    // this checks.
+    if (options_.sched_fuzz_seed != 0) FuzzPermute(&window_order_);
+    team.RunRound();
     ++stats_.windows;
     DeliverMail(window, horizon);
   }

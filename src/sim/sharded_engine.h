@@ -9,7 +9,7 @@
 //      `L` is the minimum cross-shard latency (bus transfer + controller
 //      dispatch; the fleet driver derives it from the remote-hop
 //      latency).
-//   2. Every shard independently — and, with a thread pool, in parallel
+//   2. Every shard independently — and, with a worker team, in parallel
 //      — executes all of its events with timestamp < H.
 //   3. At the window barrier, cross-shard messages produced during the
 //      window are drained from the per-shard SPSC mailboxes, sorted into
@@ -48,8 +48,6 @@
 #include "util/time.h"
 
 namespace dmasim {
-
-class ThreadPool;  // exp/thread_pool.h; only the .cc needs the definition.
 
 // One cross-shard event. The engine routes and orders it; the meaning of
 // `kind` and the payload words belongs to the shard handlers (the fleet
@@ -91,7 +89,7 @@ const char* EngineFaultName(EngineFault fault);
 bool ParseEngineFault(std::string_view text, EngineFault* out);
 
 // Coordinator-side observation and drain-order override points. Every
-// hook runs on the coordinating thread while workers are parked, so
+// hook runs on the coordinating thread while workers wait, so
 // implementations need no synchronization of their own. `ShardAudit`
 // (src/audit/shard_audit.h) checks invariants through this seam and the
 // model checker's `ShardHarness` scripts drain orders through it.
@@ -148,9 +146,10 @@ class ShardedEngine {
     // null. All hook calls happen on the coordinator thread.
     BarrierHooks* hooks = nullptr;
     // Nonzero seeds the schedule perturbation (worker backoff, permuted
-    // window submit order, permuted pre-sort drain order). None of it may
-    // change a result: the barrier sort restores the total delivery
-    // order, so a fuzzed run must be bit-identical to seed 0.
+    // window shard order — and with it which team member runs which
+    // shard — and permuted pre-sort drain order). None of it may change
+    // a result: the barrier sort restores the total delivery order, so a
+    // fuzzed run must be bit-identical to seed 0.
     std::uint64_t sched_fuzz_seed = 0;
   };
 
@@ -161,6 +160,9 @@ class ShardedEngine {
     std::uint64_t delivered_messages = 0;
     std::uint64_t mailbox_spills = 0;      // Refreshed at every barrier.
     std::uint64_t max_mailbox_occupancy = 0;  // Ditto.
+    // Size of the last Run's worker team, coordinator included (1 =
+    // serial). Host-side only: no fingerprint hashes it.
+    int threads = 0;
   };
 
   explicit ShardedEngine(const Options& options);
@@ -182,10 +184,12 @@ class ShardedEngine {
 
   // Runs every shard's events with timestamp <= `until` to completion
   // (including events created by cross-shard deliveries), leaving each
-  // shard's clock at its own last executed event. `pool` may be null —
-  // or the shard count 1 — in which case windows execute serially in
-  // shard order; the results are bit-identical either way.
-  DMASIM_BARRIER_ONLY void Run(Tick until, ThreadPool* pool);
+  // shard's clock at its own last executed event. A team of
+  // min(threads, shard_count()) members executes the windows, the
+  // calling thread being one of them, and exists only for this call; at
+  // one member windows execute serially in shard order. The results
+  // are bit-identical for every `threads` >= 1.
+  DMASIM_BARRIER_ONLY void Run(Tick until, int threads);
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
   const Stats& stats() const { return stats_; }
@@ -221,11 +225,19 @@ class ShardedEngine {
     DMASIM_SHARD_LOCAL std::uint64_t window_events = 0;
   };
 
+  // One team member's share of the current window: positions `member`,
+  // `member + members`, ... of window_order_.
   // dmasim-lint: window-context
-  void RunWindow(Shard* shard, Tick horizon, std::uint64_t window,
-                 int index) {
-    if (options_.sched_fuzz_seed != 0) FuzzBackoff(window, index);
-    shard->window_events += shard->simulator->RunEventsBefore(horizon);
+  void RunShare(int member, int members) {
+    for (std::size_t position = static_cast<std::size_t>(member);
+         position < window_order_.size();
+         position += static_cast<std::size_t>(members)) {
+      const int index = window_order_[position];
+      if (options_.sched_fuzz_seed != 0) FuzzBackoff(current_window_, index);
+      Shard& shard = shards_[static_cast<std::size_t>(index)];
+      shard.window_events +=
+          shard.simulator->RunEventsBefore(current_horizon_);
+    }
   }
   // Drains all outboxes, sorts, and invokes destination handlers.
   DMASIM_BARRIER_ONLY void DeliverMail(std::uint64_t window, Tick horizon);
@@ -242,10 +254,13 @@ class ShardedEngine {
   // frozen during Run (AddShard is refused); each element's mutable
   // state is per-shard (see Shard).
   DMASIM_SHARED_CONST std::deque<Shard> shards_;
-  // Window horizon, written by the coordinator between windows and read
-  // by Send on worker threads during windows (the barrier orders the
-  // accesses; no concurrent write can exist).
+  // The current window's horizon, index and shard execution order,
+  // written by the coordinator between windows and read by the team
+  // (and by Send) during them; the epoch store that opens a window
+  // orders the accesses, so no concurrent write can exist.
   DMASIM_SHARED_CONST Tick current_horizon_ = 0;
+  DMASIM_SHARED_CONST std::uint64_t current_window_ = 0;
+  DMASIM_SHARED_CONST std::vector<int> window_order_;
   // Set once by shard 0's first faulted Send (single writer: only shard
   // 0's worker reads or writes it, in Send).
   DMASIM_SHARD_LOCAL bool fault_fired_ = false;

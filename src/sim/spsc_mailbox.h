@@ -7,13 +7,15 @@
 //   * exactly one consumer — the coordinating thread at the window
 //     barrier — calls Drain() while no window is executing.
 // The ring indices are release/acquire atomics so an in-window Push is
-// immediately visible to the coordinator's occupancy probes, and the
-// barrier's join provides the full happens-before edge for Drain.
+// immediately visible to the coordinator's occupancy probes. The full
+// happens-before edge for Drain comes from the window barrier: each
+// team member's increment of the engine's done count, which the
+// coordinator acquires before it drains.
 //
 // The ring is bounded; a Push that finds it full spills into an overflow
 // vector owned by the producer side (still SPSC: the consumer only
-// touches it inside Drain, which by contract runs while the producer is
-// parked at the barrier). Spills are counted — they signal the capacity
+// touches it inside Drain, which by contract runs while the producer
+// waits at the barrier). Spills are counted — they signal the capacity
 // is undersized for the workload's cross-shard chattiness, which the obs
 // metrics surface — but they never drop or reorder messages: Drain
 // returns ring-then-spill, which preserves the producer's Push order.
@@ -123,7 +125,7 @@ class SpscMailbox {
   // slot is owned by exactly one side at a time.
   DMASIM_SHARD_LOCAL std::vector<Message> ring_;
   // Producer-owned until Drain (which by contract runs while the
-  // producer is parked at the barrier).
+  // producer waits at the barrier).
   DMASIM_SHARD_LOCAL std::vector<Message> spill_;
   // Next write slot; producer-advanced (release), consumer-read.
   DMASIM_SHARD_LOCAL std::atomic<std::size_t> head_{0};

@@ -109,12 +109,12 @@ TEST(FleetDeterminismTest, DeliveryLogIsThreadCountInvariant) {
 
   for (int threads : {2, 8}) {
     options.sim_threads = threads;
-    const FleetResults pooled = RunFleet(options);
-    ASSERT_EQ(pooled.deliveries.size(), serial.deliveries.size())
+    const FleetResults threaded = RunFleet(options);
+    ASSERT_EQ(threaded.deliveries.size(), serial.deliveries.size())
         << "threads=" << threads;
     for (std::size_t i = 0; i < serial.deliveries.size(); ++i) {
       const ShardMessage& want = serial.deliveries[i];
-      const ShardMessage& got = pooled.deliveries[i];
+      const ShardMessage& got = threaded.deliveries[i];
       ASSERT_TRUE(got.deliver_at == want.deliver_at &&
                   got.send_seq == want.send_seq && got.a == want.a &&
                   got.b == want.b && got.c == want.c &&
@@ -129,7 +129,7 @@ TEST(FleetDeterminismTest, DeliveryLogIsThreadCountInvariant) {
     // sort key is per-barrier.)
     std::vector<std::vector<std::uint64_t>> seqs(
         static_cast<std::size_t>(options.domains));
-    for (const ShardMessage& message : pooled.deliveries) {
+    for (const ShardMessage& message : threaded.deliveries) {
       seqs[message.src].push_back(message.send_seq);
     }
     for (std::vector<std::uint64_t>& from_src : seqs) {
@@ -138,6 +138,18 @@ TEST(FleetDeterminismTest, DeliveryLogIsThreadCountInvariant) {
         ASSERT_EQ(from_src[s], s);
       }
     }
+  }
+}
+
+// "1 = serial" is the smallest team: a count below it is a caller bug,
+// not a request for every core.
+TEST(FleetDeterminismDeathTest, SimThreadsBelowOneIsRefused) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FleetOptions options = SmallFleet(OltpStorageSpec());
+  for (int threads : {0, -1}) {
+    options.sim_threads = threads;
+    EXPECT_DEATH(RunFleet(options), "precondition violated")
+        << "threads=" << threads;
   }
 }
 

@@ -1,17 +1,19 @@
 // Unit tests for the sharded execution kernel: the SPSC mailbox contract
 // (push order survives spills), RunEventsBefore window semantics, the
 // calendar-queue instrumentation, and the ShardedEngine's conservative
-// windows — including the core promise that a thread pool changes the
-// wall clock, never the results.
+// windows — including the core promise that a worker team changes the
+// wall clock, never the results, and the barrier stress runs that hold
+// the team to it over tens of thousands of windows.
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
 #include <limits>
+#include <system_error>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "exp/thread_pool.h"
 #include "sim/sharded_engine.h"
 #include "sim/simulator.h"
 #include "sim/spsc_mailbox.h"
@@ -218,7 +220,7 @@ TEST(ShardedEngineTest, SingleShardMatchesPlainRun) {
   ShardedEngine::Options options;
   ShardedEngine engine(options);
   engine.AddShard(&sharded, [](const ShardMessage&) {});
-  engine.Run(100, /*pool=*/nullptr);
+  engine.Run(100, /*threads=*/1);
 
   EXPECT_EQ(sharded_order, plain_order);
   EXPECT_EQ(sharded.ExecutedEvents(), plain.ExecutedEvents());
@@ -259,7 +261,7 @@ void ScheduleHop(PingPong* ctx, int shard, std::uint64_t hop, Tick at) {
 }
 
 // Builds the two-shard ping-pong and runs it; returns the hop log.
-std::vector<HopLog> RunPingPong(ThreadPool* pool, std::uint64_t max_hops,
+std::vector<HopLog> RunPingPong(int threads, std::uint64_t max_hops,
                                 std::size_t mailbox_capacity,
                                 std::vector<ShardMessage>* deliveries) {
   ShardedEngine::Options options;
@@ -279,7 +281,7 @@ std::vector<HopLog> RunPingPong(ThreadPool* pool, std::uint64_t max_hops,
                     });
   }
   ScheduleHop(&ctx, /*shard=*/0, /*hop=*/0, /*at=*/10);
-  engine.Run(10000, pool);
+  engine.Run(10000, threads);
   if (deliveries != nullptr) *deliveries = engine.deliveries();
   return log;
 }
@@ -287,7 +289,7 @@ std::vector<HopLog> RunPingPong(ThreadPool* pool, std::uint64_t max_hops,
 TEST(ShardedEngineTest, CrossShardMessagesArriveOneLookaheadLater) {
   std::vector<ShardMessage> deliveries;
   const std::vector<HopLog> log =
-      RunPingPong(/*pool=*/nullptr, /*max_hops=*/4,
+      RunPingPong(/*threads=*/1, /*max_hops=*/4,
                   /*mailbox_capacity=*/16, &deliveries);
 
   // 0 -> 1 -> 0 -> 1 -> 0, each hop 50 ticks after the previous.
@@ -326,7 +328,7 @@ TEST(ShardedEngineTest, MailboxSpillsAreCountedNotDropped) {
     engine.Send(0, 1, at, 1, 101, 0, 0);
     engine.Send(0, 1, at, 1, 102, 0, 0);
   });
-  engine.Run(1000, /*pool=*/nullptr);
+  engine.Run(1000, /*threads=*/1);
 
   EXPECT_EQ(received, (std::vector<std::uint64_t>{100, 101, 102}));
   EXPECT_EQ(engine.MailboxStats(0).pushed, 3u);
@@ -340,30 +342,35 @@ TEST(ShardedEngineTest, MailboxSpillsAreCountedNotDropped) {
   EXPECT_LT(engine.deliveries()[1].send_seq, engine.deliveries()[2].send_seq);
 }
 
-// The tentpole invariant at kernel granularity: a pool run produces the
-// same hop log, delivery log, and per-shard event counts as serial.
+// Field-by-field equality of two delivery logs (ShardMessage is a plain
+// value type without operator==).
+bool SameDeliveries(const std::vector<ShardMessage>& x,
+                    const std::vector<ShardMessage>& y) {
+  return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                    [](const ShardMessage& m, const ShardMessage& n) {
+                      return m.deliver_at == n.deliver_at &&
+                             m.send_seq == n.send_seq && m.a == n.a &&
+                             m.b == n.b && m.c == n.c && m.src == n.src &&
+                             m.dst == n.dst && m.kind == n.kind;
+                    });
+}
+
+// The tentpole invariant at kernel granularity: a team run produces the
+// same hop log and delivery log as serial.
 // (Named *Determinism* so the TSan CI leg picks it up.)
-TEST(ShardedEngineDeterminismTest, PoolRunIsBitIdenticalToSerial) {
+TEST(ShardedEngineDeterminismTest, TeamRunIsBitIdenticalToSerial) {
   std::vector<ShardMessage> serial_deliveries;
   const std::vector<HopLog> serial = RunPingPong(
-      /*pool=*/nullptr, /*max_hops=*/64, /*mailbox_capacity=*/4,
+      /*threads=*/1, /*max_hops=*/64, /*mailbox_capacity=*/4,
       &serial_deliveries);
 
   for (int threads : {2, 8}) {
-    ThreadPool pool(threads);
-    std::vector<ShardMessage> pooled_deliveries;
-    const std::vector<HopLog> pooled = RunPingPong(
-        &pool, /*max_hops=*/64, /*mailbox_capacity=*/4, &pooled_deliveries);
-    EXPECT_EQ(pooled, serial) << "threads=" << threads;
-    ASSERT_EQ(pooled_deliveries.size(), serial_deliveries.size());
-    for (std::size_t i = 0; i < serial_deliveries.size(); ++i) {
-      EXPECT_EQ(pooled_deliveries[i].deliver_at,
-                serial_deliveries[i].deliver_at);
-      EXPECT_EQ(pooled_deliveries[i].send_seq, serial_deliveries[i].send_seq);
-      EXPECT_EQ(pooled_deliveries[i].src, serial_deliveries[i].src);
-      EXPECT_EQ(pooled_deliveries[i].dst, serial_deliveries[i].dst);
-      EXPECT_EQ(pooled_deliveries[i].a, serial_deliveries[i].a);
-    }
+    std::vector<ShardMessage> team_deliveries;
+    const std::vector<HopLog> team = RunPingPong(
+        threads, /*max_hops=*/64, /*mailbox_capacity=*/4, &team_deliveries);
+    EXPECT_EQ(team, serial) << "threads=" << threads;
+    EXPECT_TRUE(SameDeliveries(team_deliveries, serial_deliveries))
+        << "threads=" << threads;
   }
 }
 
@@ -424,7 +431,7 @@ TEST(ShardedEngineTest, BarrierHooksObserveEveryWindowAndMessage) {
                     });
   }
   ScheduleHop(&ctx, /*shard=*/0, /*hop=*/0, /*at=*/10);
-  engine.Run(10000, /*pool=*/nullptr);
+  engine.Run(10000, /*threads=*/1);
 
   EXPECT_EQ(hooks.window_starts, engine.stats().windows);
   EXPECT_EQ(hooks.barriers, engine.stats().windows);
@@ -465,7 +472,7 @@ std::vector<std::uint64_t> RunSameTickBurst(EngineFault fault,
                   0, 0);
     });
   }
-  engine.Run(10000, /*pool=*/nullptr);
+  engine.Run(10000, /*threads=*/1);
 
   if (digests != nullptr) *digests = engine.window_digests();
   std::vector<std::uint64_t> tags;
@@ -526,8 +533,8 @@ TEST(ShardedEngineTest, SkipBarrierSortFaultDivergesUnderDrainOrder) {
   EXPECT_EQ(first_divergent, 0u);
 }
 
-TEST(ShardedEngineTest, WindowDigestsAreBitIdenticalAcrossPoolSizes) {
-  auto run_digests = [](ThreadPool* pool) {
+TEST(ShardedEngineTest, WindowDigestsAreBitIdenticalAcrossThreadCounts) {
+  auto run_digests = [](int threads) {
     ShardedEngine::Options options;
     options.lookahead = 50;
     options.record_window_digests = true;
@@ -543,19 +550,20 @@ TEST(ShardedEngineTest, WindowDigestsAreBitIdenticalAcrossPoolSizes) {
                       });
     }
     ScheduleHop(&ctx, /*shard=*/0, /*hop=*/0, /*at=*/10);
-    engine.Run(10000, pool);
+    engine.Run(10000, threads);
     return engine.window_digests();
   };
 
-  const std::vector<std::uint64_t> serial = run_digests(nullptr);
+  const std::vector<std::uint64_t> serial = run_digests(1);
   EXPECT_EQ(serial.size(), 33u);  // One digest per window.
-  ThreadPool pool(4);
-  EXPECT_EQ(run_digests(&pool), serial);
+  EXPECT_EQ(run_digests(2), serial);
+  EXPECT_EQ(run_digests(4), serial);  // Two shards: still a team of two.
 }
 
 // The dynamic layer of the determinism proof kit. Nonzero seeds perturb
-// worker backoff, the window submit order, and the pre-sort drain order
-// — and every result must stay bit-identical to the unperturbed run.
+// worker backoff, the window's shard order (so which member runs which
+// shard), and the pre-sort drain order — and every result must stay
+// bit-identical to the unperturbed run.
 TEST(ShardedEngineFuzzTest, PerturbationSeedsAreBitIdentical) {
   auto run = [](std::uint64_t seed, int threads) {
     ShardedEngine::Options options;
@@ -575,12 +583,11 @@ TEST(ShardedEngineFuzzTest, PerturbationSeedsAreBitIdentical) {
     }
     ScheduleHop(&ctx, /*shard=*/0, /*hop=*/0, /*at=*/10);
     // Local-only work on shard 2 so every shard executes events and the
-    // permuted submit order exercises three genuinely busy workers.
+    // permuted shard order exercises three genuinely busy members.
     for (int i = 0; i < 50; ++i) {
       sims[2].ScheduleAt(10 + i * 37, []() {});
     }
-    ThreadPool pool(threads);
-    engine.Run(10000, threads > 1 ? &pool : nullptr);
+    engine.Run(10000, threads);
     return engine.window_digests();
   };
 
@@ -615,7 +622,7 @@ std::vector<std::uint64_t> RingWindowDigests(std::uint64_t seed,
       });
     }
   }
-  engine.Run(10000, /*pool=*/nullptr);
+  engine.Run(10000, /*threads=*/1);
   return engine.window_digests();
 }
 
@@ -639,6 +646,136 @@ TEST(ShardedEngineFuzzTest, SeedPerturbsScheduleWhenBarrierSortIsSkipped) {
   EXPECT_TRUE(diverged);
 }
 
+// --- Barrier stress ------------------------------------------------------
+//
+// Ring traffic over many short windows: every shard starts one token;
+// each hop logs itself, schedules a little local work (more on some
+// shards than others, so members finish their shares at different
+// moments), and forwards the token to the next shard one lookahead plus
+// a 0-6 tick jitter later. Each shard logs into its own vector, so
+// concurrent members never share one.
+struct Ring {
+  ShardedEngine* engine = nullptr;
+  std::deque<Simulator>* sims = nullptr;
+  std::vector<std::vector<HopLog>>* logs = nullptr;
+  Tick lookahead = 0;
+  int shards = 0;
+};
+
+void ScheduleRingHop(Ring* ring, int shard, std::uint64_t hop, Tick at) {
+  (*ring->sims)[static_cast<std::size_t>(shard)].ScheduleAt(
+      at, [ring, shard, hop]() {
+        Simulator& self = (*ring->sims)[static_cast<std::size_t>(shard)];
+        (*ring->logs)[static_cast<std::size_t>(shard)].push_back(
+            HopLog{shard, hop, self.Now()});
+        for (int i = 0; i <= shard % 3; ++i) {
+          self.ScheduleAt(self.Now() + 1 + i, []() {});
+        }
+        ring->engine->Send(shard, (shard + 1) % ring->shards,
+                           self.Now() + ring->lookahead +
+                               static_cast<Tick>(hop % 7),
+                           /*kind=*/1, hop + 1, 0, 0);
+      });
+}
+
+struct RingOutcome {
+  std::vector<std::vector<HopLog>> logs;
+  std::vector<ShardMessage> deliveries;
+  std::vector<std::uint64_t> digests;
+  std::uint64_t windows = 0;
+  int threads = 0;
+};
+
+RingOutcome RunRing(int shards, int threads) {
+  ShardedEngine::Options options;
+  options.lookahead = 50;
+  options.record_deliveries = true;
+  options.record_window_digests = true;
+  ShardedEngine engine(options);
+
+  std::deque<Simulator> sims(static_cast<std::size_t>(shards));
+  RingOutcome outcome;
+  outcome.logs.resize(static_cast<std::size_t>(shards));
+  Ring ring{&engine, &sims, &outcome.logs, options.lookahead, shards};
+  for (int s = 0; s < shards; ++s) {
+    engine.AddShard(&sims[static_cast<std::size_t>(s)],
+                    [&ring](const ShardMessage& message) {
+                      ScheduleRingHop(&ring, static_cast<int>(message.dst),
+                                      message.a, message.deliver_at);
+                    });
+  }
+  for (int s = 0; s < shards; ++s) {
+    ScheduleRingHop(&ring, s, /*hop=*/0, /*at=*/10 + 5 * s);
+  }
+  // Each window advances time by at least one lookahead (50) and at
+  // most a lookahead plus the jitter, so this bound yields > 20k windows.
+  engine.Run(/*until=*/1'100'000, threads);
+  outcome.deliveries = engine.deliveries();
+  outcome.digests = engine.window_digests();
+  outcome.windows = engine.stats().windows;
+  outcome.threads = engine.stats().threads;
+  return outcome;
+}
+
+void ExpectRingMatchesSerial(int shards, int threads) {
+  const RingOutcome serial = RunRing(shards, /*threads=*/1);
+  ASSERT_GE(serial.windows, 20000u);
+  EXPECT_EQ(serial.threads, 1);
+
+  const RingOutcome team = RunRing(shards, threads);
+  EXPECT_EQ(team.threads, std::min(threads, shards));
+  EXPECT_EQ(team.windows, serial.windows);
+  EXPECT_EQ(team.logs, serial.logs);
+  EXPECT_TRUE(SameDeliveries(team.deliveries, serial.deliveries));
+  EXPECT_EQ(team.digests, serial.digests);
+}
+
+TEST(ShardedEngineStressTest, ThreeShardsOnTwoMembersMatchSerial) {
+  ExpectRingMatchesSerial(/*shards=*/3, /*threads=*/2);
+}
+
+TEST(ShardedEngineStressTest, FiveShardsOnFourMembersMatchSerial) {
+  ExpectRingMatchesSerial(/*shards=*/5, /*threads=*/4);
+}
+
+// More members than a small host has cores: members that wait out their
+// polls park, so this run goes through the park and wake-up path.
+TEST(ShardedEngineStressTest, EightShardsOnEightMembersMatchSerial) {
+  ExpectRingMatchesSerial(/*shards=*/8, /*threads=*/8);
+}
+
+// Threads of this process, or -1 where /proc/self/task is unavailable.
+int ProcessThreadCount() {
+  std::error_code error;
+  std::filesystem::directory_iterator tasks("/proc/self/task", error);
+  if (error) return -1;
+  int count = 0;
+  for (const auto& task : tasks) {
+    (void)task;
+    ++count;
+  }
+  return count;
+}
+
+TEST(ShardedEngineStressTest, RunWithNothingPendingOpensNoWindow) {
+  ShardedEngine::Options options;
+  options.lookahead = 50;
+  ShardedEngine engine(options);
+  std::deque<Simulator> sims(4);
+  for (Simulator& sim : sims) {
+    engine.AddShard(&sim, [](const ShardMessage&) {});
+  }
+  const int threads_before = ProcessThreadCount();
+  engine.Run(1000, /*threads=*/4);
+
+  EXPECT_EQ(engine.stats().windows, 0u);
+  EXPECT_EQ(engine.stats().threads, 4);
+  // The team's three threads were joined before Run returned.
+  if (threads_before > 0) {
+    EXPECT_EQ(ProcessThreadCount(), threads_before);
+  }
+}
+
 TEST(ShardedEngineDeathTest, SendBelowTheHorizonIsRefused) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
@@ -655,7 +792,7 @@ TEST(ShardedEngineDeathTest, SendBelowTheHorizonIsRefused) {
           engine.Send(0, 1, sims[0].Now(), 1, 0, 0, 0);
         });
         sims[1].ScheduleAt(10, []() {});
-        engine.Run(1000, /*pool=*/nullptr);
+        engine.Run(1000, /*threads=*/1);
       },
       "check failed");
 }

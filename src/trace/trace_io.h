@@ -1,9 +1,10 @@
 // Text serialization of traces.
 //
 // Format: one record per line, `<time_ps> <kind> <page> <bytes>` where
-// kind is R (client read), W (client write), or C (CPU access). Lines
-// starting with '#' are comments. The format is deliberately trivial so
-// external traces can be converted into it with a one-line awk script.
+// kind is R (client read), W (client write), or C (CPU access), in
+// non-decreasing time order. Lines starting with '#' are comments. The
+// format is deliberately trivial so external traces can be converted into
+// it with a one-line awk script.
 #ifndef DMASIM_TRACE_TRACE_IO_H_
 #define DMASIM_TRACE_TRACE_IO_H_
 

@@ -1,12 +1,52 @@
 #include "trace/workloads.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "trace/zipf.h"
 #include "util/check.h"
 #include "util/random.h"
 
 namespace dmasim {
+namespace {
+
+bool EarlierTime(const TraceRecord& a, const TraceRecord& b) {
+  return a.time < b.time;
+}
+
+// Sorts draws from [0, 1) in expected linear time: a counting pass over
+// one equal-width bucket per draw, then an insertion sort that only has
+// to order the few draws sharing a bucket. Keeps its buffers between
+// calls.
+class UnitDrawSorter {
+ public:
+  void Sort(std::vector<double>* draws) {
+    const std::size_t n = draws->size();
+    auto bucket = [n](double u) {
+      return std::min(static_cast<std::size_t>(u * static_cast<double>(n)),
+                      n - 1);
+    };
+    bucket_ends_.assign(n + 1, 0);
+    for (const double u : *draws) ++bucket_ends_[bucket(u) + 1];
+    for (std::size_t b = 1; b <= n; ++b) bucket_ends_[b] += bucket_ends_[b - 1];
+    sorted_.resize(n);
+    for (const double u : *draws) sorted_[bucket_ends_[bucket(u)]++] = u;
+    for (std::size_t i = 1; i < n; ++i) {
+      const double u = sorted_[i];
+      std::size_t j = i;
+      for (; j > 0 && sorted_[j - 1] > u; --j) sorted_[j] = sorted_[j - 1];
+      sorted_[j] = u;
+    }
+    draws->swap(sorted_);
+  }
+
+ private:
+  std::vector<double> sorted_;
+  std::vector<std::uint32_t> bucket_ends_;
+};
+
+}  // namespace
 
 Trace GenerateWorkload(const WorkloadSpec& spec) {
   DMASIM_EXPECTS(spec.client_reads_per_ms > 0.0);
@@ -14,6 +54,12 @@ Trace GenerateWorkload(const WorkloadSpec& spec) {
   DMASIM_EXPECTS(spec.write_fraction >= 0.0 && spec.write_fraction <= 1.0);
   DMASIM_EXPECTS(spec.miss_ratio >= 0.0 && spec.miss_ratio <= 1.0);
   DMASIM_EXPECTS(spec.burst_factor >= 1.0);
+  // No record may precede its own request: the merge below relies on it.
+  DMASIM_EXPECTS(spec.cpu_window >= 0);
+  DMASIM_EXPECTS(spec.sequential_gap >= 0);
+  // ReadTrace rejects a record of no bytes, so none may be generated.
+  DMASIM_EXPECTS(spec.page_bytes > 0);
+  DMASIM_EXPECTS(spec.cpu_access_bytes > 0);
 
   Rng rng(spec.seed);
   ZipfPagePicker picker(spec.pages, spec.zipf_alpha);
@@ -45,6 +91,16 @@ Trace GenerateWorkload(const WorkloadSpec& spec) {
   trace.reserve(static_cast<std::size_t>(
       per_ms * static_cast<double>(spec.duration) / kMillisecond * 1.1));
 
+  // One pass, with no sort of the whole trace: `trace` always holds the
+  // records drawn so far in (time, draw order), the order a stable sort
+  // by time gives. Each request's records go into `batch` in that order
+  // and are merged into the pending tail of `trace`, the records later
+  // than the request. Nothing before the tail can move: arrivals strictly
+  // increase and no record precedes its own request.
+  Trace batch;
+  std::vector<double> draws;
+  UnitDrawSorter draw_sorter;
+
   // Renormalize the exponential mean so that burst-shortened gaps do not
   // inflate the average arrival rate.
   const double burst_shrink =
@@ -67,10 +123,10 @@ Trace GenerateWorkload(const WorkloadSpec& spec) {
                        : TraceEventKind::kClientRead;
     request.page = pick_page();
     request.bytes = spec.page_bytes;
-    trace.push_back(request);
+    batch.assign(1, request);
 
     if (spec.sequential_run_mean > 1.0) {
-      // Geometric run of consecutive pages (a scan).
+      // Geometric run of consecutive pages (a scan), in time order.
       const double continue_probability = 1.0 - 1.0 / spec.sequential_run_mean;
       std::uint64_t page = request.page;
       Tick when = now;
@@ -81,30 +137,37 @@ Trace GenerateWorkload(const WorkloadSpec& spec) {
         TraceRecord next = request;
         next.time = when;
         next.page = page;
-        trace.push_back(next);
+        batch.push_back(next);
       }
     }
+    const std::size_t run_end = batch.size();
 
     if (spec.cpu_accesses_per_transfer > 0.0) {
-      const std::uint64_t count =
-          rng.NextPoisson(spec.cpu_accesses_per_transfer);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        TraceRecord access;
-        access.time =
-            now + static_cast<Tick>(rng.NextDouble() *
-                                    static_cast<double>(spec.cpu_window));
-        access.kind = TraceEventKind::kCpuAccess;
-        access.page = request.page;
-        access.bytes = spec.cpu_access_bytes;
-        if (access.time < spec.duration) trace.push_back(access);
+      // The accesses differ only in time, so sorting their draws puts
+      // them in time order; equal times are identical records.
+      draws.resize(rng.NextPoisson(spec.cpu_accesses_per_transfer));
+      for (double& u : draws) u = rng.NextDouble();
+      draw_sorter.Sort(&draws);
+      const double window = static_cast<double>(spec.cpu_window);
+      for (const double u : draws) {
+        const Tick time = now + static_cast<Tick>(u * window);
+        if (time >= spec.duration) break;  // So is every later access.
+        batch.push_back({time, request.page, spec.cpu_access_bytes,
+                         TraceEventKind::kCpuAccess});
       }
     }
-  }
+    // The accesses were drawn after the scan run, so they follow it on
+    // equal times.
+    std::inplace_merge(batch.begin(), batch.begin() + run_end, batch.end(),
+                       EarlierTime);
 
-  std::stable_sort(trace.begin(), trace.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.time < b.time;
-                   });
+    std::size_t pending = trace.size();
+    while (pending > 0 && trace[pending - 1].time > now) --pending;
+    const std::size_t drawn = trace.size();
+    trace.insert(trace.end(), batch.begin(), batch.end());
+    std::inplace_merge(trace.begin() + pending, trace.begin() + drawn,
+                       trace.end(), EarlierTime);
+  }
   return trace;
 }
 

@@ -12,11 +12,11 @@ namespace {
 
 Trace SmallTrace() {
   return Trace{
-      {0, TraceEventKind::kClientRead, 1, 8192},
-      {10, TraceEventKind::kCpuAccess, 1, 64},
-      {20, TraceEventKind::kClientRead, 2, 8192},
-      {30, TraceEventKind::kClientWrite, 1, 8192},
-      {40, TraceEventKind::kClientRead, 1, 8192},
+      {0, 1, 8192, TraceEventKind::kClientRead},
+      {10, 1, 64, TraceEventKind::kCpuAccess},
+      {20, 2, 8192, TraceEventKind::kClientRead},
+      {30, 1, 8192, TraceEventKind::kClientWrite},
+      {40, 1, 8192, TraceEventKind::kClientRead},
   };
 }
 
@@ -40,8 +40,8 @@ TEST(TraceTest, SummarizeCounts) {
 TEST(TraceTest, SummaryRates) {
   Trace trace;
   for (int i = 0; i < 100; ++i) {
-    trace.push_back({static_cast<Tick>(i) * (kMillisecond / 10),
-                     TraceEventKind::kClientRead, 0, 8192});
+    trace.push_back({static_cast<Tick>(i) * (kMillisecond / 10), 0, 8192,
+                     TraceEventKind::kClientRead});
   }
   const TraceSummary summary = Summarize(trace);
   EXPECT_NEAR(summary.ReadsPerMs(), 10.0, 0.2);
@@ -50,8 +50,8 @@ TEST(TraceTest, SummaryRates) {
 TEST(PopularityCdfTest, IsMonotonicAndEndsAtOne) {
   Trace trace;
   for (int i = 0; i < 100; ++i) {
-    trace.push_back({i, TraceEventKind::kClientRead,
-                     static_cast<std::uint64_t>(i % 10), 8192});
+    trace.push_back({i, static_cast<std::uint64_t>(i % 10), 8192,
+                     TraceEventKind::kClientRead});
   }
   const auto cdf = PopularityCdf(trace);
   ASSERT_GE(cdf.size(), 2u);
@@ -68,10 +68,10 @@ TEST(PopularityCdfTest, SkewedTraceShowsSkew) {
   Tick t = 0;
   // Page 0 gets 90 accesses; pages 1..9 get one each.
   for (int i = 0; i < 90; ++i) {
-    trace.push_back({t++, TraceEventKind::kClientRead, 0, 8192});
+    trace.push_back({t++, 0, 8192, TraceEventKind::kClientRead});
   }
   for (std::uint64_t page = 1; page <= 9; ++page) {
-    trace.push_back({t++, TraceEventKind::kClientRead, page, 8192});
+    trace.push_back({t++, page, 8192, TraceEventKind::kClientRead});
   }
   const auto cdf = PopularityCdf(trace);
   // The top 10% of pages (page 0) carries ~91% of accesses.
@@ -80,9 +80,9 @@ TEST(PopularityCdfTest, SkewedTraceShowsSkew) {
 
 TEST(PopularityCdfTest, IgnoresCpuAccesses) {
   Trace trace;
-  trace.push_back({0, TraceEventKind::kClientRead, 1, 8192});
+  trace.push_back({0, 1, 8192, TraceEventKind::kClientRead});
   for (int i = 0; i < 50; ++i) {
-    trace.push_back({i + 1, TraceEventKind::kCpuAccess, 2, 64});
+    trace.push_back({i + 1, 2, 64, TraceEventKind::kCpuAccess});
   }
   const auto cdf = PopularityCdf(trace);
   EXPECT_DOUBLE_EQ(cdf.back().access_fraction, 1.0);
@@ -181,6 +181,30 @@ TEST(TraceIoTest, TrailingWhitespaceIsAccepted) {
   ASSERT_TRUE(ReadTrace(input, &parsed, &error)) << error;
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].bytes, 8192);
+}
+
+TEST(TraceIoTest, RejectsOutOfOrderRecord) {
+  std::istringstream input(
+      "# header\n"
+      "20 R 1 8192\n"
+      "10 R 2 8192\n");
+  Trace parsed;
+  std::string error;
+  EXPECT_FALSE(ReadTrace(input, &parsed, &error));
+  EXPECT_NE(error.find("malformed trace record at line 3: 10 R 2 8192"),
+            std::string::npos)
+      << error;
+}
+
+TEST(TraceIoTest, EqualTimesAreAccepted) {
+  std::istringstream input(
+      "20 R 1 8192\n"
+      "20 C 1 64\n"
+      "20 R 2 8192\n");
+  Trace parsed;
+  std::string error;
+  ASSERT_TRUE(ReadTrace(input, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.size(), 3u);
 }
 
 TEST(TraceIoTest, ErrorReportsCorrectLineNumber) {

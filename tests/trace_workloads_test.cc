@@ -2,12 +2,16 @@
 #include "trace/workloads.h"
 
 #include <cmath>
+#include <cstdint>
+#include <ostream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
 
 #include "trace/trace.h"
+#include "util/fnv.h"
+#include "util/random.h"
 
 namespace dmasim {
 namespace {
@@ -120,6 +124,38 @@ TEST(GenerateWorkloadTest, LocalityPoolIncreasesReuse) {
   };
   EXPECT_LT(distinct(GenerateWorkload(local)),
             distinct(GenerateWorkload(plain)) / 2);
+}
+
+TEST(GenerateWorkloadDeathTest, RecordsBeforeTheirRequestAreRefused) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  WorkloadSpec cpu = OltpDatabaseSpec();
+  cpu.duration = kMillisecond;
+  cpu.cpu_window = -kNanosecond;
+  EXPECT_DEATH(GenerateWorkload(cpu),
+               "spec.cpu_window >= 0 -- precondition violated");
+  WorkloadSpec scan = DssStorageSpec();
+  scan.duration = kMillisecond;
+  scan.sequential_gap = -kNanosecond;
+  EXPECT_DEATH(GenerateWorkload(scan),
+               "spec.sequential_gap >= 0 -- precondition violated");
+}
+
+TEST(GenerateWorkloadDeathTest, RecordsOfNoBytesAreRefused) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  WorkloadSpec spec = OltpDatabaseSpec();
+  spec.duration = kMillisecond;
+  for (std::int32_t bytes : {0, -1}) {
+    WorkloadSpec page = spec;
+    page.page_bytes = bytes;
+    EXPECT_DEATH(GenerateWorkload(page),
+                 "spec.page_bytes > 0 -- precondition violated")
+        << "bytes=" << bytes;
+    WorkloadSpec line = spec;
+    line.cpu_access_bytes = bytes;
+    EXPECT_DEATH(GenerateWorkload(line),
+                 "spec.cpu_access_bytes > 0 -- precondition violated")
+        << "bytes=" << bytes;
+  }
 }
 
 TEST(PresetTest, OltpStorageMatchesTable2Rates) {
@@ -249,6 +285,133 @@ TEST_P(PresetSweepTest, GeneratesConsistentTrace) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPresets, PresetSweepTest, ::testing::Range(0, 4));
+
+// --- Pinned generator bytes ------------------------------------------------
+//
+// Each case hashes one generated trace: its size, then every record's
+// time, kind, page and bytes, each widened to 64 bits. The digests pin
+// the record order as well as the draws, including the order of
+// equal-time records inside a request and across requests.
+
+std::uint64_t TraceDigest(const Trace& trace) {
+  Fnv1a hash;
+  hash.MixU64(trace.size());
+  for (const TraceRecord& record : trace) {
+    hash.MixU64(static_cast<std::uint64_t>(record.time));
+    hash.MixU64(static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(record.kind)));
+    hash.MixU64(record.page);
+    hash.MixU64(static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(record.bytes)));
+  }
+  return hash.hash();
+}
+
+struct PinnedTrace {
+  const char* name;
+  WorkloadSpec (*spec)();
+  std::size_t records;
+  std::uint64_t digest;
+
+  friend void PrintTo(const PinnedTrace& pinned, std::ostream* os) {
+    *os << pinned.name;
+  }
+};
+
+WorkloadSpec AtDuration(WorkloadSpec spec, Tick duration) {
+  spec.duration = duration;
+  return spec;
+}
+
+const PinnedTrace kPinnedTraces[] = {
+    // Table 2 presets and DSS-St, 30 ms, each with its own seed.
+    {"OltpSt", [] { return AtDuration(OltpStorageSpec(), 30 * kMillisecond); },
+     1353, 4515880795549748044ULL},
+    {"SyntheticSt",
+     [] { return AtDuration(SyntheticStorageSpec(), 30 * kMillisecond); },
+     2365, 7082980310969737320ULL},
+    {"OltpDb", [] { return AtDuration(OltpDatabaseSpec(), 30 * kMillisecond); },
+     696565, 5615728401061490739ULL},
+    {"SyntheticDb",
+     [] { return AtDuration(SyntheticDatabaseSpec(), 30 * kMillisecond); },
+     293133, 7809646995920847827ULL},
+    {"DssSt", [] { return AtDuration(DssStorageSpec(), 30 * kMillisecond); },
+     2010, 14142146295792001952ULL},
+    // Every CPU access lands on its request's arrival time.
+    {"OltpDbZeroCpuWindow",
+     [] {
+       WorkloadSpec spec = AtDuration(OltpDatabaseSpec(), 10 * kMillisecond);
+       spec.cpu_window = 0;
+       return spec;
+     },
+     249021, 17224269744751836278ULL},
+    // A 100 ps window: ~233 accesses share ~100 distinct times.
+    {"OltpDbTinyCpuWindow",
+     [] {
+       WorkloadSpec spec = AtDuration(OltpDatabaseSpec(), 10 * kMillisecond);
+       spec.cpu_window = 100;
+       return spec;
+     },
+     249021, 1493222034365619020ULL},
+    // Arrivals ~14 ps apart with a 30 ps window: accesses of neighbouring
+    // requests interleave and tie with each other and with arrivals.
+    {"OltpDbTiesAcrossRequests",
+     [] {
+       WorkloadSpec spec = AtDuration(OltpDatabaseSpec(), kMicrosecond);
+       spec.client_reads_per_ms = 1e8;
+       spec.cpu_accesses_per_transfer = 3.0;
+       spec.cpu_window = 30;
+       return spec;
+     },
+     380480, 7200045435776164178ULL},
+    // Scan runs of neighbouring requests overlap.
+    {"DssStOverlappingScans",
+     [] {
+       WorkloadSpec spec = AtDuration(DssStorageSpec(), 20 * kMillisecond);
+       spec.client_reads_per_ms = 200.0;
+       return spec;
+     },
+     64195, 9715549723713232982ULL},
+    {"SyntheticDbLocalityPool",
+     [] {
+       WorkloadSpec spec =
+           AtDuration(SyntheticDatabaseSpec(), 10 * kMillisecond);
+       spec.locality_probability = 0.8;
+       spec.locality_pool_pages = 64;
+       return spec;
+     },
+     102761, 10676846178879664220ULL},
+    // The benchmark's oltp-db trace at seed 1.
+    {"BenchmarkOltpDbSeed1",
+     [] {
+       WorkloadSpec spec = AtDuration(OltpDatabaseSpec(), 100 * kMillisecond);
+       std::uint64_t state = 1 ^ 0xdbULL;
+       spec.seed = SplitMix64(state);
+       return spec;
+     },
+     2326027, 15305491898616441236ULL},
+};
+
+class PinnedTraceTest : public ::testing::TestWithParam<PinnedTrace> {};
+
+TEST_P(PinnedTraceTest, GeneratorBytesAreStable) {
+  const PinnedTrace& pinned = GetParam();
+  const Trace trace = GenerateWorkload(pinned.spec());
+  EXPECT_TRUE(IsTimeSorted(trace));
+#if defined(__GNUC__) && !defined(__clang__)
+  // Compiler-gated like the pinned sweep checksum: the draws go through
+  // libm (exp, log, pow), whose last bits another toolchain may round
+  // differently.
+  EXPECT_EQ(trace.size(), pinned.records);
+  EXPECT_EQ(TraceDigest(trace), pinned.digest);
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, PinnedTraceTest, ::testing::ValuesIn(kPinnedTraces),
+    [](const ::testing::TestParamInfo<PinnedTrace>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace dmasim

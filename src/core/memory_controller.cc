@@ -138,11 +138,13 @@ void MemoryController::CpuAccess(std::uint64_t logical_page,
   // account: bring every coalesced run up to date first.
   SettleAllRuns(simulator_->Now());
   const int chip_index = page_to_chip_[logical_page];
+  MemoryChip& chip = *chips_[static_cast<std::size_t>(chip_index)];
   ++stats_.cpu_accesses;
   if (aligner_->enabled()) {
-    aligner_->OnCpuAccess(chip_index, chip_model_->ServiceTime(ByteCount(bytes)));
+    aligner_->OnCpuAccess(
+        chip_index, chip.ServiceTime(RequestKind::kCpu, ByteCount(bytes)));
   }
-  chips_[static_cast<std::size_t>(chip_index)]->Enqueue(
+  chip.Enqueue(
       ChipRequest{RequestKind::kCpu, ByteCount(bytes), std::move(on_complete)});
   // The processor access activates the chip regardless (it has priority),
   // so any gated DMA requests ride along for free: keeping them delayed
@@ -320,7 +322,7 @@ bool MemoryController::TryStartRun(DmaTransfer* transfer, Tick now) {
     const std::int64_t chunk = std::min<std::int64_t>(bus.chunk_bytes(),
                                                       remaining);
     const Tick completion =
-        issue + chip_model_->ServiceTime(ByteCount(chunk)).value();
+        issue + chip.ServiceTime(RequestKind::kDma, ByteCount(chunk)).value();
     if (completion >= horizon) break;
     run_end = completion;
     ++chunks;
@@ -359,7 +361,7 @@ std::uint64_t MemoryController::AdvanceRunChunks(DmaTransfer* transfer,
     const std::int64_t chunk = std::min<std::int64_t>(
         bus.chunk_bytes(), transfer->RemainingToIssue());
     const Tick completion =
-        issue + chip_model_->ServiceTime(ByteCount(chunk)).value();
+        issue + chip.ServiceTime(RequestKind::kDma, ByteCount(chunk)).value();
     bus.AccountCoalescedChunk(transfer, chunk, issue);
     if (aligner_->enabled()) aligner_->slack().CreditArrival();
     ++credits;  // Stands in for the bus Issue event.

@@ -78,6 +78,7 @@ void MemoryChip::Enqueue(ChipRequest request) {
       migration_queue_.push_back(std::move(request));
       break;
   }
+  ++queued_;
   if (serving_ || fsm_.transitioning()) return;  // Picked up on completion.
   if (fsm_.state() == PowerState::kActive) {
     StartNextService(/*retire_inline=*/false);
@@ -123,17 +124,21 @@ void MemoryChip::StartNextService(bool retire_inline) {
 }
 
 ChipRequest MemoryChip::PopNextRequest() {
-  std::deque<ChipRequest>* queue = nullptr;
-  if (!cpu_queue_.empty()) {
-    queue = &cpu_queue_;
-  } else if (!dma_queue_.empty()) {
-    queue = &dma_queue_;
-  } else {
-    queue = &migration_queue_;
-  }
-  ChipRequest request = std::move(queue->front());
-  queue->pop_front();
+  --queued_;
+  if (!cpu_queue_.empty()) return cpu_queue_.pop_front();
+  if (!dma_queue_.empty()) return dma_queue_.pop_front();
+  ChipRequest request = std::move(migration_queue_.front());
+  migration_queue_.pop_front();
   return request;
+}
+
+Ticks MemoryChip::ServiceTime(RequestKind kind, ByteCount bytes) {
+  ServiceMemo& memo = service_memo_[static_cast<int>(kind)];
+  if (memo.bytes != bytes.count()) {
+    memo.ticks = model_->ServiceTime(bytes).value();
+    memo.bytes = bytes.count();
+  }
+  return Ticks(memo.ticks);
 }
 
 void MemoryChip::SwitchToServingAccounting(RequestKind kind, ByteCount bytes) {
@@ -156,7 +161,7 @@ void MemoryChip::SwitchToServingAccounting(RequestKind kind, ByteCount bytes) {
   }
 }
 
-void MemoryChip::ServeRequest(ChipRequest request, bool retire_inline) {
+void MemoryChip::ServeRequest(ChipRequest&& request, bool retire_inline) {
   serving_ = true;
   AccountTo(simulator_->Now());
   SwitchToServingAccounting(request.kind, request.bytes);
@@ -181,7 +186,8 @@ void MemoryChip::ServeRequest(ChipRequest request, bool retire_inline) {
     const Tick horizon = simulator_->NextPendingTick();
     std::uint64_t batched = 0;
     while (!request.on_complete && HasQueuedRequest()) {
-      const Tick completion = issue + model_->ServiceTime(request.bytes).value();
+      const Tick completion =
+          issue + ServiceTime(request.kind, request.bytes).value();
       if (completion >= horizon) break;
       AccountTo(completion);
       switch (request.kind) {
@@ -204,7 +210,7 @@ void MemoryChip::ServeRequest(ChipRequest request, bool retire_inline) {
     if (batched > 0) simulator_->CreditExecuted(batched);
   }
 
-  const Tick service = model_->ServiceTime(request.bytes).value();
+  const Tick service = ServiceTime(request.kind, request.bytes).value();
   active_request_ = std::move(request);
   simulator_->ScheduleAt(issue + service, [this]() { ServeDone(); });
 }
@@ -260,6 +266,7 @@ void MemoryChip::AccountCoalescedCycle(Tick issue, Tick completion,
 }
 
 void MemoryChip::ResumeCoalescedService(Tick issue, ChipRequest request) {
+  DMASIM_EXPECTS(request.bytes.count() > 0);
   DMASIM_CHECK(!serving_ && !fsm_.transitioning());
   DMASIM_CHECK_EQ(fsm_.state(), PowerState::kActive);
   DMASIM_CHECK_EQ(bucket_, EnergyBucket::kActiveIdleDma);
@@ -268,7 +275,7 @@ void MemoryChip::ResumeCoalescedService(Tick issue, ChipRequest request) {
   power_mw_ = model_->ServingPowerMw(RequestKind::kDma, request.bytes);
   time_slot_ = &stats_.dma_serving;
   serving_ = true;
-  const Tick service = model_->ServiceTime(request.bytes).value();
+  const Tick service = ServiceTime(RequestKind::kDma, request.bytes).value();
   active_request_ = std::move(request);
   simulator_->ScheduleAt(issue + service, [this]() { ServeDone(); });
 }

@@ -15,8 +15,11 @@
 #ifndef DMASIM_MEM_MEMORY_CHIP_H_
 #define DMASIM_MEM_MEMORY_CHIP_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <utility>
 
 #include "audit/chip_audit_sink.h"
 #include "mem/chip_power_model.h"
@@ -128,9 +131,11 @@ class MemoryChip {
   bool transitioning() const { return fsm_.transitioning(); }
   int in_flight_transfers() const { return in_flight_transfers_; }
   int id() const { return id_; }
-  std::size_t QueuedRequests() const {
-    return cpu_queue_.size() + dma_queue_.size() + migration_queue_.size();
-  }
+  std::size_t QueuedRequests() const { return queued_; }
+
+  // model().ServiceTime(bytes), remembered per request kind: the model's
+  // is a pure function, so the memo is exact.
+  Ticks ServiceTime(RequestKind kind, ByteCount bytes);
 
   // Flushes accounting up to the current simulated time. Call before
   // reading `energy()` or `stats()` at the end of a run.
@@ -169,14 +174,14 @@ class MemoryChip {
   void StartNextService(bool retire_inline);
   ChipRequest PopNextRequest();
   void SwitchToServingAccounting(RequestKind kind, ByteCount bytes);
-  void ServeRequest(ChipRequest request, bool retire_inline);
+  void ServeRequest(ChipRequest&& request, bool retire_inline);
   void ServeDone();
   void BecomeIdleActive();
   void ArmPolicyTimer();
   void StartWake();
   void StartStepDown(PowerState target);
   void TransitionDone();
-  bool HasQueuedRequest() const { return QueuedRequests() > 0; }
+  bool HasQueuedRequest() const { return queued_ > 0; }
 
   // Integrates the current accounting mode up to `when` (>= the last
   // accounted time; may be in the simulated past during coalesced replay).
@@ -202,9 +207,84 @@ class MemoryChip {
   // The request being served; ServeDone events capture only `this`.
   ChipRequest active_request_;
 
-  std::deque<ChipRequest> cpu_queue_;
-  std::deque<ChipRequest> dma_queue_;
+  // FIFO of chip requests on a power-of-two ring. It doubles when full and
+  // keeps its capacity, so once warmed up it never allocates: the CPU and
+  // DMA queues stay a few requests deep, and this spares the deque's node
+  // allocation per eight queued requests. Only the live slots hold objects,
+  // so growing moves the queued requests and nothing else.
+  class RequestRing {
+   public:
+    RequestRing() = default;
+    RequestRing(const RequestRing&) = delete;
+    RequestRing& operator=(const RequestRing&) = delete;
+    ~RequestRing() {
+      while (size_ > 0) pop_front();
+      Release();
+    }
+
+    bool empty() const { return size_ == 0; }
+
+    void push_back(ChipRequest&& request) {
+      if (size_ == capacity_) Grow();
+      std::construct_at(slots_ + ((head_ + size_) & (capacity_ - 1)),
+                        std::move(request));
+      ++size_;
+    }
+
+    ChipRequest pop_front() {
+      DMASIM_CHECK_GT(size_, 0u);
+      ChipRequest* front = slots_ + head_;
+      ChipRequest request = std::move(*front);
+      std::destroy_at(front);
+      head_ = (head_ + 1) & (capacity_ - 1);
+      --size_;
+      return request;
+    }
+
+   private:
+    void Grow() {
+      const std::size_t capacity = capacity_ == 0 ? 8 : 2 * capacity_;
+      ChipRequest* grown = std::allocator<ChipRequest>().allocate(capacity);
+      for (std::size_t i = 0; i < size_; ++i) {
+        ChipRequest* from = slots_ + ((head_ + i) & (capacity_ - 1));
+        std::construct_at(grown + i, std::move(*from));
+        std::destroy_at(from);
+      }
+      Release();
+      slots_ = grown;
+      capacity_ = capacity;
+      head_ = 0;
+    }
+
+    void Release() {
+      if (slots_ != nullptr) {
+        std::allocator<ChipRequest>().deallocate(slots_, capacity_);
+      }
+    }
+
+    ChipRequest* slots_ = nullptr;
+    std::size_t capacity_ = 0;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  // CPU and DMA requests queue on rings. Migration copies arrive in
+  // bursts (a moved page queues 16 chunk copies per chip) at layout
+  // intervals, so their queue stays a deque, which returns its memory as
+  // it drains where a ring would keep its deepest burst's capacity.
+  RequestRing cpu_queue_;
+  RequestRing dma_queue_;
   std::deque<ChipRequest> migration_queue_;
+  std::size_t queued_ = 0;  // Requests in all three queues.
+
+  // ServiceTime is a pure function of the byte count, and each kind comes
+  // in one or two sizes (64 B CPU accesses, the chunk size), so the last
+  // size priced per kind almost always hits. 0 bytes is never a request.
+  struct ServiceMemo {
+    std::int64_t bytes = 0;
+    Tick ticks = 0;
+  };
+  ServiceMemo service_memo_[3];
 
   // Accounting mode.
   Tick accounted_until_ = 0;

@@ -7,8 +7,9 @@
 // The queue is a two-level calendar (timer wheel) keyed on `Tick`, not a
 // binary heap: schedule and pop are O(1) amortized, and the hot serving
 // bucket is a flat sorted vector of trivially-copyable events, so draining
-// it is a linear scan. See DESIGN.md "Event kernel internals" for the
-// bucketing scheme and the exact-ordering argument.
+// it is a linear scan and an event scheduled into it a few slots from its
+// end is inserted in place. See DESIGN.md "Event kernel internals" for
+// the bucketing scheme and the exact-ordering argument.
 //
 // Components that need to cancel timers (e.g. idle-threshold timers in
 // `MemoryChip`) use generation counters: the callback captures the
@@ -72,9 +73,10 @@ class Simulator {
   // Executes the earliest pending event. Returns false if none remain.
   bool Step() {
     if (!EnsureServing()) return false;
-    // The callback may schedule into the serving bucket (reallocating it),
-    // so copy the event out first; events are trivially copyable.
-    const Event event = serving_[serving_pos_++];
+    // The callback may schedule into the serving bucket (shifting or
+    // reallocating it), so copy the event out first, once; events are
+    // trivially copyable.
+    Event event = serving_[serving_pos_++];
     DMASIM_CHECK_GE(event.when, now_);
     // Pops must advance in strict (time, sequence) lexicographic order —
     // the property the wheel's bucketing, cascades, and overflow refills
@@ -90,8 +92,7 @@ class Simulator {
     ++executed_;
     ++stepped_;
     --size_;
-    Callback callback = event.callback;
-    callback();
+    event.callback();
     return true;
   }
 
@@ -224,12 +225,9 @@ class Simulator {
     if (b0 <= serving_bucket_) {
       // Current bucket — or behind it, which happens when RunUntil parked
       // the wheel on a far-future bucket and the clock (and subsequent
-      // schedules) sit in the gap. Append now and restore sorted order
-      // lazily on the next pop; every event already in the wheel is in a
-      // later bucket, and appends carry monotonically increasing sequence
-      // numbers, so sorting by (when, sequence) reproduces the global
-      // FIFO order exactly.
-      serving_.push_back(event);
+      // schedules) sit in the gap. Every event already in the wheel is in
+      // a later bucket, so the serving bucket alone decides its place.
+      InsertServing(event);
       return;
     }
     const std::uint64_t b1 =
@@ -252,12 +250,44 @@ class Simulator {
     }
   }
 
-  // Sorts any unsorted tail appended to the serving bucket since the last
+  // How far from the serving bucket's end an event may be inserted in
+  // place. A 64 B CPU access schedules its ServeDone 20 ns ahead, which
+  // lands behind at most a few pending events of the same ~0.52 us
+  // bucket; an insert farther back (bulk scheduling in random order)
+  // would make a long shift per event, so it goes to the lazy tail.
+  static constexpr std::size_t kInPlaceSlots = 8;
+
+  // The new event carries the largest sequence number issued so far, so
+  // its (when, sequence) place is after every pending event at or before
+  // its time: comparing times alone is exact. Scan back from the end at
+  // most kInPlaceSlots events; if the place is found, shift the events
+  // after it by one slot and the bucket stays sorted. Otherwise (or when
+  // an unsorted tail already exists) append, and the next pop sorts the
+  // tail and merges it into the remainder.
+  void InsertServing(const Event& event) {
+    std::size_t pos = serving_.size();
+    if (serving_ready_ == pos) {  // No unsorted tail.
+      const std::size_t floor =
+          pos - std::min(pos - serving_pos_, kInPlaceSlots);
+      while (pos > floor && event.when < serving_[pos - 1].when) --pos;
+      if (pos == serving_pos_ || !(event.when < serving_[pos - 1].when)) {
+        serving_.insert(serving_.begin() + static_cast<std::ptrdiff_t>(pos),
+                        event);
+        serving_sorted_ = serving_ready_ = serving_.size();
+        return;
+      }
+    }
+    serving_.push_back(event);
+    serving_ready_ = 0;  // Forces the next pop through MergeServingTail.
+  }
+
+  // Sorts the unsorted tail appended to the serving bucket since the last
   // pop, merging it with the sorted remainder (allocation-free after the
   // scratch buffer warms up).
   void MergeServingTail() {
     const std::size_t mid = serving_sorted_;
     const std::size_t end = serving_.size();
+    serving_ready_ = end;
     if (mid >= end) return;
     serving_sorted_ = end;
     if (end - mid > 1) {
@@ -302,13 +332,16 @@ class Simulator {
     const std::size_t slot = bucket & (kBuckets - 1);
     serving_bucket_ = bucket;
     serving_pos_ = 0;
-    serving_.swap(level0_[slot]);
+    // Copy rather than swap buffers: most of a served bucket's events are
+    // scheduled into it while it is served, so one serving buffer that
+    // stays in cache beats rotating through the 1024 slot buffers.
+    serving_.assign(level0_[slot].begin(), level0_[slot].end());
     level0_[slot].clear();
     level0_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
     if (serving_.size() > 1) {
       std::sort(serving_.begin(), serving_.end(), EarlierCmp{});
     }
-    serving_sorted_ = serving_.size();
+    serving_sorted_ = serving_ready_ = serving_.size();
     ++calendar_.bucket_loads;
     calendar_.max_bucket_events =
         std::max(calendar_.max_bucket_events,
@@ -316,8 +349,14 @@ class Simulator {
   }
 
   // Makes serving_[serving_pos_] the globally earliest pending event.
-  // Returns false when the queue is empty.
+  // Returns false when the queue is empty. One compare while the sorted
+  // serving bucket has events left; the rest is the slow path.
   bool EnsureServing() {
+    if (serving_pos_ < serving_ready_) [[likely]] return true;
+    return AdvanceServing();
+  }
+
+  bool AdvanceServing() {
     MergeServingTail();
     while (serving_pos_ >= serving_.size()) {
       // Advance within the current level-1 span. Level-0 slots never wrap:
@@ -411,10 +450,13 @@ class Simulator {
   DMASIM_SHARD_LOCAL std::size_t size_ = 0;
 
   // Serving bucket: flat, (when, sequence)-sorted up to serving_sorted_,
-  // drained by cursor. serving_bucket_ is its absolute level-0 index.
+  // drained by cursor. serving_ready_ is serving_.size() while nothing
+  // unsorted follows serving_sorted_, else 0, so EnsureServing's fast path
+  // is one compare. serving_bucket_ is its absolute level-0 index.
   DMASIM_SHARD_LOCAL std::vector<Event> serving_;
   DMASIM_SHARD_LOCAL std::size_t serving_pos_ = 0;
   DMASIM_SHARD_LOCAL std::size_t serving_sorted_ = 0;
+  DMASIM_SHARD_LOCAL std::size_t serving_ready_ = 0;
   DMASIM_SHARD_LOCAL std::uint64_t serving_bucket_ = 0;
 
   DMASIM_SHARD_LOCAL std::array<std::vector<Event>, kBuckets> level0_;

@@ -6,6 +6,7 @@
 //   2. the sweep engine adds no nondeterminism — an N-thread sweep
 //      matches a 1-thread sweep run for run, down to the serialized
 //      JSON bytes (host timing fields excluded).
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -149,6 +150,51 @@ TEST(DeterminismTest, PinnedConfigChecksumIsStableAcrossKernelChanges) {
   // serialized bytes).
   EXPECT_EQ(json.size(), 43447u);
   EXPECT_EQ(hash.hash(), 6942302054424692086ULL);
+#endif
+}
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(DeterminismTest, PinnedDatabaseRunIsStable) {
+  // Byte-level anchor for the CPU-access path, which neither the pinned
+  // sweep (OLTP-St and Synthetic-St) nor the monitored pin (OLTP-St)
+  // reaches: one OLTP-Db run, 233 CPU accesses per transfer, whose
+  // energy buckets, mean client response and event counts are pinned to
+  // the bit. Kernel and chip-queue changes must leave every value here
+  // unchanged, stepped events included. At mu 2.0 this trace gates no
+  // request; mu 20 gates 722, so the pin covers DMA-TA's slack releases
+  // beside the CPU-priority path.
+  WorkloadSpec spec = OltpDatabaseSpec();
+  spec.duration = 10 * kMillisecond;
+  const Trace trace = GenerateWorkload(spec);
+
+  SimulationOptions options;
+  options.memory.dma.ta.enabled = true;
+  options.memory.dma.ta.mu = 20.0;
+  options.memory.dma.pl.enabled = true;
+  const SimulationResults r =
+      RunTrace(trace, spec.miss_ratio, spec.duration, options, spec.name);
+  EXPECT_GT(r.server.cpu_accesses, 0u);
+
+#if defined(__GNUC__) && !defined(__clang__)
+  // Compiler-gated for the same reason as the pinned sweep checksum.
+  constexpr std::uint64_t kEnergyBits[kEnergyBucketCount] = {
+      0x3f62e06789512284ULL, 0x3f5db9ed8280b068ULL, 0x3f1ec44669ff4dcdULL,
+      0x3f23a9b1fee3f606ULL, 0x3f6534e4656d1896ULL, 0x0ULL};
+  for (int i = 0; i < kEnergyBucketCount; ++i) {
+    const auto bucket = static_cast<EnergyBucket>(i);
+    EXPECT_EQ(Bits(r.energy.Of(bucket).joules()), kEnergyBits[i])
+        << "energy bucket " << EnergyBucketName(bucket) << " = " << std::hex
+        << Bits(r.energy.Of(bucket).joules());
+  }
+  EXPECT_EQ(Bits(r.client_response.Mean()), 0x41862c5f24f52ee0ULL)
+      << std::hex << Bits(r.client_response.Mean());
+  EXPECT_EQ(r.executed_events, 640921u);
+  EXPECT_EQ(r.stepped_events, 611314u);
+  EXPECT_EQ(r.server.cpu_accesses, 247725u);
+  EXPECT_EQ(r.gated_requests, 722u);
+  EXPECT_EQ(r.releases_by_slack, 722u);
+  EXPECT_EQ(r.controller.migrations, 90u);
 #endif
 }
 

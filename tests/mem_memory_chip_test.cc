@@ -168,6 +168,45 @@ TEST_F(ChipFixture, InlineRetirementKeepsDmaPriorityOverMigration) {
   EXPECT_EQ(chip.stats().dma_requests, 2u);
 }
 
+TEST_F(ChipFixture, PriorityAndFifoHoldAcrossQueueGrowth) {
+  // Each round queues dozens of interleaved requests while the chip wakes
+  // from its resting state, so every queue grows well past its first
+  // capacity; later rounds start where the previous one drained, so the
+  // queues also wrap. Service order must be every CPU request in arrival
+  // order, then every DMA request, then every migration copy.
+  MemoryChip chip(&simulator_, &chip_model_, &dynamic_policy_, 0);
+  Rng rng(0xc419);
+  std::vector<int> served;
+  for (const int count : {72, 150, 41, 200}) {
+    ASSERT_EQ(chip.power_state(), PowerState::kPowerdown);
+    std::vector<int> by_kind[3];
+    for (int i = 0; i < count; ++i) {
+      const auto kind = static_cast<RequestKind>(rng.NextBounded(3));
+      const int tag = static_cast<int>(served.size()) + i;
+      by_kind[static_cast<int>(kind)].push_back(tag);
+      const ByteCount bytes(kind == RequestKind::kCpu ? 64 : 512);
+      chip.Enqueue(ChipRequest{
+          kind, bytes, [&served, tag](Tick) { served.push_back(tag); }});
+      ASSERT_TRUE(chip.transitioning());
+    }
+    EXPECT_EQ(chip.QueuedRequests(), static_cast<std::size_t>(count));
+    std::vector<int> expected(served);
+    for (const RequestKind kind :
+         {RequestKind::kCpu, RequestKind::kDma, RequestKind::kMigration}) {
+      const std::vector<int>& tags = by_kind[static_cast<int>(kind)];
+      expected.insert(expected.end(), tags.begin(), tags.end());
+    }
+    simulator_.Run();
+    EXPECT_EQ(served, expected);
+    EXPECT_EQ(chip.QueuedRequests(), 0u);
+    served = expected;
+  }
+  EXPECT_EQ(chip.stats().wakeups, 4u);
+  EXPECT_EQ(chip.stats().cpu_requests + chip.stats().dma_requests +
+                chip.stats().migration_requests,
+            72u + 150u + 41u + 200u);
+}
+
 TEST_F(ChipFixture, MigrationEnergyGoesToMigrationBucket) {
   MemoryChip chip(&simulator_, &chip_model_, &active_policy_, 0);
   chip.Enqueue(ChipRequest{RequestKind::kMigration, ByteCount(8192), {}});

@@ -132,7 +132,7 @@ void BM_MonitorMaterialize(benchmark::State& state) {
     monitor.ObserveTransfer(page, static_cast<int>(page % 16));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(monitor.MaterializeCounts().size());
+    benchmark::DoNotOptimize(monitor.MaterializeRuns().size());
   }
 }
 BENCHMARK(BM_MonitorMaterialize);

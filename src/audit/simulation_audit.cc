@@ -33,6 +33,53 @@ std::string Format(const char* format, ...) {
 
 }  // namespace
 
+bool CheckLayoutIndex(const std::vector<std::uint32_t>& counts,
+                      const std::vector<std::uint32_t>& nonzero_pages,
+                      const std::vector<std::int32_t>& page_to_chip,
+                      int chips, int pages_per_chip, std::string* message) {
+  std::vector<std::uint8_t> indexed(counts.size(), 0);
+  for (const std::uint32_t page : nonzero_pages) {
+    if (page >= counts.size() || counts[page] == 0 || indexed[page] != 0) {
+      *message = Format(
+          "referenced-page index lists page %u %s", page,
+          page >= counts.size() ? "outside the page space"
+          : counts[page] == 0   ? "whose count is 0"
+                                : "twice");
+      return false;
+    }
+    indexed[page] = 1;
+  }
+  for (std::size_t page = 0; page < counts.size(); ++page) {
+    if (counts[page] > 0 && indexed[page] == 0) {
+      *message = Format(
+          "page %zu has count %u but is missing from the referenced-page "
+          "index",
+          page, counts[page]);
+      return false;
+    }
+  }
+
+  std::vector<std::int64_t> residents(static_cast<std::size_t>(chips), 0);
+  for (std::size_t page = 0; page < page_to_chip.size(); ++page) {
+    const std::int32_t chip = page_to_chip[page];
+    if (chip < 0 || chip >= chips) {
+      *message = Format("page %zu maps to chip %d of %d", page, chip, chips);
+      return false;
+    }
+    ++residents[static_cast<std::size_t>(chip)];
+  }
+  for (int chip = 0; chip < chips; ++chip) {
+    if (residents[static_cast<std::size_t>(chip)] != pages_per_chip) {
+      *message = Format(
+          "chip %d holds %lld logical pages, not %d", chip,
+          static_cast<long long>(residents[static_cast<std::size_t>(chip)]),
+          pages_per_chip);
+      return false;
+    }
+  }
+  return true;
+}
+
 SimulationAudit::SimulationAudit(Simulator* simulator,
                                  MemoryController* controller,
                                  const Options& options)
@@ -419,6 +466,19 @@ void SimulationAudit::RegisterStandardInvariants() {
           return false;
         }
         return true;
+      });
+
+  // PL's incremental structures against the dense arrays they stand in
+  // for: the oracle tracker's referenced-page index, and the page map
+  // whose swaps must leave every chip holding pages_per_chip pages.
+  auditor_.Register(
+      "layout-index", AuditPhase::kEndOfRun | AuditPhase::kPeriodic,
+      [this](std::string* message) {
+        const MemorySystemConfig& config = controller_->config();
+        return CheckLayoutIndex(controller_->popularity().counts(),
+                                controller_->popularity().nonzero_pages(),
+                                controller_->page_to_chip(), config.chips,
+                                config.pages_per_chip, message);
       });
 
   // DMA-TA lockstep: only the first request of a transfer may be gated,

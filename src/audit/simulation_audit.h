@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "audit/chip_audit_sink.h"
@@ -23,6 +24,15 @@
 #include "util/time.h"
 
 namespace dmasim {
+
+// The `layout-index` invariant, on explicit arrays: `nonzero_pages` must
+// list exactly the pages whose `counts` entry is nonzero, each once, and
+// `page_to_chip` must give each of `chips` chips exactly `pages_per_chip`
+// pages. On the first mismatch, sets `message` and returns false.
+bool CheckLayoutIndex(const std::vector<std::uint32_t>& counts,
+                      const std::vector<std::uint32_t>& nonzero_pages,
+                      const std::vector<std::int32_t>& page_to_chip,
+                      int chips, int pages_per_chip, std::string* message);
 
 class SimulationAudit : public ChipAuditSink {
  public:

@@ -1,7 +1,6 @@
 #include "core/layout_manager.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace dmasim {
 
@@ -10,6 +9,10 @@ LayoutManager::LayoutManager(const PopularityLayoutConfig& config, int chips,
     : config_(config), chips_(chips), pages_per_chip_(pages_per_chip) {
   DMASIM_EXPECTS(chips >= 2);  // Need at least one hot and one cold chip.
   DMASIM_EXPECTS(pages_per_chip > 0);
+  // Plans name pages and count them in runs with 32-bit numbers.
+  DMASIM_EXPECTS(static_cast<std::uint64_t>(chips) *
+                     static_cast<std::uint64_t>(pages_per_chip) <=
+                 UINT32_MAX);
   DMASIM_EXPECTS(config.groups >= 2);
   DMASIM_EXPECTS(config.hot_access_share > 0.0 &&
                  config.hot_access_share <= 1.0);
@@ -31,41 +34,51 @@ std::vector<int> LayoutManager::HotGroupSizes(int hot_chips, int groups) {
 }
 
 LayoutPlan LayoutManager::Plan(
-    const std::vector<std::uint32_t>& counts,
+    const std::vector<PageCountRun>& runs,
     const std::vector<std::int32_t>& page_to_chip) const {
-  DMASIM_EXPECTS(counts.size() == page_to_chip.size());
-  const std::uint64_t pages = counts.size();
+  const std::uint64_t pages = page_to_chip.size();
   LayoutPlan plan;
 
   // Rank referenced pages by popularity (count desc, page asc for
-  // determinism). `ranked_` keeps its capacity across intervals.
-  std::vector<std::uint32_t>& ranked = ranked_;
-  ranked.clear();
+  // determinism). The runs are disjoint, so sorting them by (count desc,
+  // first page asc) and reading each run's pages in order is exactly
+  // that ranking. `ranked_runs_` keeps its capacity across intervals.
+  std::vector<PageCountRun>& ranked_runs = ranked_runs_;
+  ranked_runs.assign(runs.begin(), runs.end());
   std::uint64_t total = 0;
-  for (std::uint64_t page = 0; page < pages; ++page) {
-    if (counts[page] > 0) {
-      ranked.push_back(static_cast<std::uint32_t>(page));
-      total += counts[page];
-    }
+  for (const PageCountRun& run : ranked_runs) {
+    DMASIM_EXPECTS(run.count > 0 && run.pages > 0);
+    DMASIM_EXPECTS(std::uint64_t{run.first} + run.pages <= pages);
+    total += std::uint64_t{run.count} * run.pages;
   }
   if (total == 0) return plan;
-  std::sort(ranked.begin(), ranked.end(),
-            [&counts](std::uint32_t a, std::uint32_t b) {
-              if (counts[a] != counts[b]) return counts[a] > counts[b];
-              return a < b;
+  // The order as one 64-bit key, so each comparison is one integer
+  // compare instead of two data-dependent branches.
+  auto rank_key = [](const PageCountRun& run) {
+    return (std::uint64_t{UINT32_MAX - run.count} << 32) | run.first;
+  };
+  std::sort(ranked_runs.begin(), ranked_runs.end(),
+            [&rank_key](const PageCountRun& a, const PageCountRun& b) {
+              return rank_key(a) < rank_key(b);
             });
 
   // Size the hot set: the smallest prefix of ranked pages covering the
-  // target access share, rounded up to whole chips.
+  // target access share, rounded up to whole chips. Later steps read
+  // pages by rank only within this prefix, so only it is spelled out.
   const double target = config_.hot_access_share * static_cast<double>(total);
-  std::uint64_t covered = 0;
-  std::uint64_t hot_pages = 0;
-  for (std::uint32_t page : ranked) {
-    if (counts[page] < config_.min_hot_count) break;  // Noise floor.
-    covered += counts[page];
-    ++hot_pages;
+  std::vector<std::uint32_t>& ranked = ranked_;
+  ranked.clear();
+  std::uint64_t covered = 0;  // target > 0, so the first page is taken.
+  for (const PageCountRun& run : ranked_runs) {
+    if (run.count < config_.min_hot_count) break;  // Noise floor.
+    for (std::uint32_t i = 0;
+         i < run.pages && static_cast<double>(covered) < target; ++i) {
+      covered += run.count;
+      ranked.push_back(run.first + i);
+    }
     if (static_cast<double>(covered) >= target) break;
   }
+  const std::uint64_t hot_pages = ranked.size();
   if (hot_pages == 0) return plan;
   int hot_chips = static_cast<int>(
       (hot_pages + static_cast<std::uint64_t>(pages_per_chip_) - 1) /
@@ -103,8 +116,7 @@ LayoutPlan LayoutManager::Plan(
   const std::uint64_t hot_capacity =
       static_cast<std::uint64_t>(hot_chips) *
       static_cast<std::uint64_t>(pages_per_chip_);
-  const std::uint64_t hot_ranks = std::min<std::uint64_t>(
-      {static_cast<std::uint64_t>(ranked.size()), hot_capacity, hot_pages});
+  const std::uint64_t hot_ranks = std::min(hot_capacity, hot_pages);
 
   // Partition the hot page ranks among the hot groups proportionally to
   // each group's chip count (hottest pages into the smallest group), so
@@ -149,26 +161,29 @@ LayoutPlan LayoutManager::Plan(
         static_cast<std::uint8_t>(target_group_of_rank(rank));
   }
 
-  if (evictable_.size() != static_cast<std::size_t>(chips_)) {
-    evictable_.resize(static_cast<std::size_t>(chips_));
-  }
-  std::vector<std::vector<std::uint32_t>>& evictable = evictable_;
-  for (auto& candidates : evictable) candidates.clear();
-  for (std::uint64_t page = 0; page < pages; ++page) {
-    const int chip = page_to_chip[page];
-    if (chip >= hot_chips) continue;
-    // A resting sentinel means "cold target", which never matches a hot
-    // chip's group -- identical to the old dense cold_group fill.
-    const std::uint8_t target = target_group_of_page[page];
-    if (target != plan.group_of_chip[static_cast<std::size_t>(chip)]) {
-      evictable[static_cast<std::size_t>(chip)].push_back(
-          static_cast<std::uint32_t>(page));
+  // Eviction victims, found lazily: a hot chip's residents whose target
+  // group is not the chip's own, highest page first, each examined at
+  // most once per round. A cursor walks down only until the next victim.
+  std::vector<std::uint8_t>& moved = moved_;
+  victim_cursor_.assign(static_cast<std::size_t>(hot_chips), pages);
+  auto next_victim = [&](int chip, std::uint32_t* victim) {
+    std::uint64_t& cursor = victim_cursor_[static_cast<std::size_t>(chip)];
+    const int group = plan.group_of_chip[static_cast<std::size_t>(chip)];
+    while (cursor > 0) {
+      const std::uint64_t page = --cursor;
+      // A resting sentinel means "cold target", which never matches a
+      // hot chip's group.
+      if (page_to_chip[page] == chip &&
+          target_group_of_page[page] != group && !moved[page]) {
+        *victim = static_cast<std::uint32_t>(page);
+        return true;
+      }
     }
-  }
+    return false;
+  };
 
   // Greedy swap planning in rank order (hottest pages first), respecting
   // the per-interval migration cap.
-  std::vector<std::uint8_t>& moved = moved_;
   std::vector<int> next_chip_in_group(static_cast<std::size_t>(sizes.size()),
                                       0);
   auto group_first_chip = [&sizes](int group) {
@@ -200,14 +215,8 @@ LayoutPlan LayoutManager::Plan(
       int& cursor = next_chip_in_group[static_cast<std::size_t>(group)];
       const int chip = first + (cursor % span);
       cursor = (cursor + 1) % span;
-      auto& candidates = evictable[static_cast<std::size_t>(chip)];
-      while (!candidates.empty() && moved[candidates.back()]) {
-        candidates.pop_back();  // Skip stale entries.
-      }
-      if (!candidates.empty()) {
+      if (next_victim(chip, &victim)) {
         destination = chip;
-        victim = candidates.back();
-        candidates.pop_back();
         break;
       }
     }

@@ -8,6 +8,10 @@
 // misplaced page into a chip of its target group. Only group membership
 // matters -- pages within a group are interchangeable -- which is exactly
 // why fewer groups need fewer migrations.
+//
+// A round costs what it touches: the planner ranks only the referenced
+// pages it is handed (as runs of pages sharing a count) and looks for
+// eviction victims on the hot chips only until it has the ones it needs.
 #ifndef DMASIM_CORE_LAYOUT_MANAGER_H_
 #define DMASIM_CORE_LAYOUT_MANAGER_H_
 
@@ -23,6 +27,16 @@ struct PageMove {
   std::uint64_t page = 0;
   int from_chip = 0;
   int to_chip = 0;
+};
+
+// Consecutive logical pages [first, first + pages) sharing one nonzero
+// reference count: the planner's input unit. The oracle tracker hands in
+// one single-page run per referenced page, the access monitor one run per
+// region with a nonzero per-page value. Pages in no run are unreferenced.
+struct PageCountRun {
+  std::uint32_t first = 0;
+  std::uint32_t pages = 0;
+  std::uint32_t count = 0;
 };
 
 struct LayoutPlan {
@@ -43,12 +57,14 @@ class LayoutManager {
   LayoutManager(const PopularityLayoutConfig& config, int chips,
                 int pages_per_chip);
 
-  // Plans migrations given per-logical-page reference counts and the
-  // current logical-page -> chip mapping. Reuses internal scratch
-  // buffers across calls (PL planning runs every interval on the
-  // simulation hot path), so concurrent calls on one instance are not
-  // allowed; each controller owns its manager, so this never arises.
-  LayoutPlan Plan(const std::vector<std::uint32_t>& counts,
+  // Plans migrations given the referenced pages' counts as disjoint runs
+  // (in any order) and the current logical-page -> chip mapping. Pages
+  // are ranked by (count desc, page asc), a total order, so the plan does
+  // not depend on the order of `runs`. Reuses internal scratch buffers
+  // across calls (PL planning runs every interval on the simulation hot
+  // path), so concurrent calls on one instance are not allowed; each
+  // controller owns its manager, so this never arises.
+  LayoutPlan Plan(const std::vector<PageCountRun>& runs,
                   const std::vector<std::int32_t>& page_to_chip) const;
 
   const PopularityLayoutConfig& config() const { return config_; }
@@ -67,10 +83,13 @@ class LayoutManager {
   // resting value before Plan returns by resetting only the entries it
   // touched, so a call never observes the previous interval's state.
   static constexpr std::uint8_t kNoTargetGroup = 0xFF;
-  mutable std::vector<std::uint32_t> ranked_;
+  mutable std::vector<PageCountRun> ranked_runs_;
+  mutable std::vector<std::uint32_t> ranked_;  // The hot prefix, by rank.
   mutable std::vector<std::uint8_t> target_group_;  // kNoTargetGroup = cold.
   mutable std::vector<std::uint8_t> moved_;
-  mutable std::vector<std::vector<std::uint32_t>> evictable_;
+  // Per hot chip: every page at or above it has been examined as an
+  // eviction victim this round (victims are taken highest page first).
+  mutable std::vector<std::uint64_t> victim_cursor_;
 };
 
 }  // namespace dmasim

@@ -529,13 +529,20 @@ void MemoryController::RunLayoutInterval() {
   // With the monitor enabled the layout planner sees the monitored
   // popularity estimate instead of the oracle per-page counts; the oracle
   // tracker keeps recording either way so the estimate can be scored
-  // against it (hotness error).
-  const std::vector<std::uint32_t>* counts = &popularity_.counts();
+  // against it (hotness error). Either source hands the planner only its
+  // referenced pages.
+  const std::vector<PageCountRun>* runs = &oracle_runs_;
   if (monitor_ != nullptr) {
-    counts = &monitor_->MaterializeCounts();
-    monitor_->RecordHotnessError(popularity_.counts());
+    runs = &monitor_->MaterializeRuns();
+    monitor_->RecordHotnessError(popularity_.counts(),
+                                 popularity_.nonzero_pages());
+  } else {
+    oracle_runs_.clear();
+    for (const std::uint32_t page : popularity_.nonzero_pages()) {
+      oracle_runs_.push_back({page, 1, popularity_.counts()[page]});
+    }
   }
-  const LayoutPlan plan = layout_.Plan(*counts, page_to_chip_);
+  const LayoutPlan plan = layout_.Plan(*runs, page_to_chip_);
   if (!plan.moves.empty()) ++stats_.migration_rounds;
   stats_.deferred_migrations += static_cast<std::uint64_t>(plan.deferred_moves);
   for (const PageMove& move : plan.moves) {

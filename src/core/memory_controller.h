@@ -168,6 +168,10 @@ class MemoryController : public DmaRequestSink {
     DMASIM_EXPECTS(logical_page < page_to_chip_.size());
     return page_to_chip_[logical_page];
   }
+  // Chip of every logical page (ChipOf for all pages at once).
+  const std::vector<std::int32_t>& page_to_chip() const {
+    return page_to_chip_;
+  }
   MemoryChip& chip(int index) { return *chips_[static_cast<std::size_t>(index)]; }
   IoBus& bus(int index) { return *buses_[static_cast<std::size_t>(index)]; }
   int chip_count() const { return static_cast<int>(chips_.size()); }
@@ -235,6 +239,8 @@ class MemoryController : public DmaRequestSink {
   std::unique_ptr<TemporalAligner> aligner_;
   PopularityTracker popularity_;
   LayoutManager layout_;
+  // The oracle's referenced pages as planner input, rebuilt every round.
+  std::vector<PageCountRun> oracle_runs_;
   std::unique_ptr<RegionMonitor> monitor_;  // Null when disabled.
   // A probe event is pending (armed by a transfer that started unseen).
   bool probe_armed_ = false;

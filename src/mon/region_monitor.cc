@@ -23,6 +23,7 @@ RegionMonitor::RegionMonitor(const MonitorConfig& config, std::uint64_t pages,
                              int chips)
     : config_(config), pages_(pages) {
   DMASIM_EXPECTS(pages > 0);
+  DMASIM_EXPECTS(pages <= UINT32_MAX);  // Runs use 32-bit page numbers.
   DMASIM_EXPECTS(chips > 0);
   DMASIM_EXPECTS(config.min_regions >= 1);
   DMASIM_EXPECTS(config.max_regions >= config.min_regions);
@@ -50,18 +51,29 @@ RegionMonitor::RegionMonitor(const MonitorConfig& config, std::uint64_t pages,
   chip_window_hits_.assign(static_cast<std::size_t>(chips), 0);
   chip_idle_streak_.assign(static_cast<std::size_t>(chips), 0);
   chips_to_demote_.reserve(static_cast<std::size_t>(chips));
-  materialized_.assign(pages, 0);
+  runs_.reserve(regions_.capacity());
+  hotness_regions_.reserve(regions_.capacity());
+
+  if (config.merge_max_hits < kMaxHits) {
+    cold_hits_per_page_ = config.merge_max_hits + 1;
+    cold_exact_size_ = kMaxHits / cold_hits_per_page_;
+  }  // Otherwise no region can hold more than merge_max_hits per page.
 }
 
 std::size_t RegionMonitor::RegionIndexOf(std::uint64_t page) const {
   DMASIM_EXPECTS(page < pages_);
-  // Last region whose start is <= page; regions tile the space, so the
-  // containing region always exists.
-  const auto it = std::upper_bound(
-      regions_.begin(), regions_.end(), page,
-      [](std::uint64_t p, const MonitorRegion& r) { return p < r.start; });
-  DMASIM_CHECK(it != regions_.begin());
-  return static_cast<std::size_t>(it - regions_.begin()) - 1;
+  // Last region whose start is <= page; regions tile the space from page
+  // 0, so the containing region always exists. Branch-free halving: the
+  // answer stays within [base, base + n), and the select compiles to a
+  // conditional move instead of a mispredicted branch per step.
+  const MonitorRegion* base = regions_.data();
+  std::size_t n = regions_.size();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half].start <= page ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - regions_.data());
 }
 
 std::uint64_t RegionMonitor::ChargeProbesThrough(Tick now) {
@@ -81,22 +93,20 @@ void RegionMonitor::ObserveTransfer(std::uint64_t page, int chip) {
   stats_.busy_ticks += config_.observe_cost;
 
   std::size_t index = RegionIndexOf(page);
-  if (regions_[index].size() > 1) {
-    SplitAtSample(index, page);
-    index = RegionIndexOf(page);
-  }
+  if (regions_[index].size() > 1) index = SplitAtSample(index, page);
   regions_[index].hits = PinnedAdd(regions_[index].hits, 1);
   ++chip_window_hits_[static_cast<std::size_t>(chip)];
 }
 
-void RegionMonitor::SplitAtSample(std::size_t index, std::uint64_t page) {
+std::size_t RegionMonitor::SplitAtSample(std::size_t index,
+                                         std::uint64_t page) {
   const MonitorRegion parent = regions_[index];
   DMASIM_EXPECTS(page >= parent.start && page < parent.end);
   const int new_regions = (page > parent.start ? 1 : 0) +
                           (page + 1 < parent.end ? 1 : 0);
-  if (new_regions == 0) return;
+  if (new_regions == 0) return index;
   if (static_cast<int>(regions_.size()) + new_regions > config_.max_regions) {
-    return;  // Budget exhausted: keep sampling at current granularity.
+    return index;  // Budget exhausted: keep sampling at current granularity.
   }
   ++stats_.splits;
 
@@ -122,11 +132,18 @@ void RegionMonitor::SplitAtSample(std::size_t index, std::uint64_t page) {
     mid.hits += leftover;
   }
 
-  auto it = regions_.begin() + static_cast<std::ptrdiff_t>(index);
-  it = regions_.erase(it);
-  if (right.size() > 0) it = regions_.insert(it, right);
-  it = regions_.insert(it, mid);
-  if (left.size() > 0) regions_.insert(it, left);
+  // The parent's slot takes the first piece and the others go in right
+  // after it, so the tail of the list shifts once.
+  MonitorRegion pieces[3];
+  std::size_t count = 0;
+  if (left.size() > 0) pieces[count++] = left;
+  const std::size_t mid_index = index + count;
+  pieces[count++] = mid;
+  if (right.size() > 0) pieces[count++] = right;
+  regions_[index] = pieces[0];
+  regions_.insert(regions_.begin() + static_cast<std::ptrdiff_t>(index + 1),
+                  pieces + 1, pieces + count);
+  return mid_index;
 }
 
 const std::vector<ChipDemotion>& RegionMonitor::Aggregate() {
@@ -163,8 +180,7 @@ void RegionMonitor::MergeColdNeighbours() {
   for (std::size_t read = 1; read < regions_.size(); ++read) {
     MonitorRegion& left = regions_[write];
     const MonitorRegion& right = regions_[read];
-    if (left.hits / left.size() <= config_.merge_max_hits &&
-        right.hits / right.size() <= config_.merge_max_hits &&
+    if (ColdPerPage(left) && ColdPerPage(right) &&
         count > static_cast<std::size_t>(config_.min_regions)) {
       left.end = right.end;
       left.hits = PinnedAdd(left.hits, right.hits);
@@ -204,9 +220,10 @@ void RegionMonitor::ApplyChipRules() {
   }
 }
 
-const std::vector<std::uint32_t>& RegionMonitor::MaterializeCounts() {
+const std::vector<PageCountRun>& RegionMonitor::MaterializeRuns() {
   stats_.busy_ticks +=
       config_.region_cost * static_cast<Tick>(regions_.size());
+  runs_.clear();
   for (const MonitorRegion& region : regions_) {
     // Single-page regions carry their full counter; wider regions spread
     // theirs as density (floor — sub-sample noise stays cold).
@@ -231,53 +248,67 @@ const std::vector<std::uint32_t>& RegionMonitor::MaterializeCounts() {
       break;
     }
 
+    if (value == 0) continue;
     const std::uint32_t count =
         value > kMaxMaterializedCount
             ? kMaxMaterializedCount
             : static_cast<std::uint32_t>(value);
-    std::fill(materialized_.begin() + static_cast<std::ptrdiff_t>(region.start),
-              materialized_.begin() + static_cast<std::ptrdiff_t>(region.end),
-              count);
+    runs_.push_back({static_cast<std::uint32_t>(region.start),
+                     static_cast<std::uint32_t>(region.size()), count});
   }
-  return materialized_;
+  return runs_;
 }
 
-double RegionMonitor::RecordHotnessError(
-    const std::vector<std::uint32_t>& oracle) {
-  DMASIM_EXPECTS(oracle.size() == pages_);
+void RegionMonitor::RecordHotnessError(
+    const std::vector<std::uint32_t>& counts,
+    const std::vector<std::uint32_t>& pages) {
+  DMASIM_EXPECTS(counts.size() == pages_);
+  hotness_regions_.assign(regions_.begin(), regions_.end());
+  hotness_oracle_.clear();
+  for (const std::uint32_t page : pages) {
+    DMASIM_EXPECTS(page < pages_ && counts[page] > 0);
+    hotness_oracle_.push_back({page, counts[page]});
+  }
+}
+
+double RegionMonitor::latest_hotness_error() const {
+  if (hotness_regions_.empty()) return -1.0;  // Never recorded.
+  const std::vector<MonitorRegion>& regions = hotness_regions_;
+  // The oracle in page order; pages absent from it count zero.
+  std::vector<OracleCount> oracle = hotness_oracle_;
+  std::sort(oracle.begin(), oracle.end(),
+            [](const OracleCount& a, const OracleCount& b) {
+              return a.page < b.page;
+            });
+
   double monitored_total = 0.0;
-  for (const MonitorRegion& region : regions_) {
+  for (const MonitorRegion& region : regions) {
     monitored_total += static_cast<double>(region.hits);
   }
   double oracle_total = 0.0;
-  for (std::uint32_t count : oracle) {
-    oracle_total += static_cast<double>(count);
+  for (const OracleCount& entry : oracle) {
+    oracle_total += static_cast<double>(entry.count);
   }
-  if (monitored_total <= 0.0 && oracle_total <= 0.0) {
-    latest_hotness_error_ = 0.0;
-    return latest_hotness_error_;
-  }
-  if (monitored_total <= 0.0 || oracle_total <= 0.0) {
-    latest_hotness_error_ = 1.0;
-    return latest_hotness_error_;
-  }
+  if (monitored_total <= 0.0 && oracle_total <= 0.0) return 0.0;
+  if (monitored_total <= 0.0 || oracle_total <= 0.0) return 1.0;
 
   // Total-variation distance between the two access-mass distributions
   // over pages, with the monitored mass spread uniformly within each
   // region (that density is all the layout planner ever sees).
   double distance = 0.0;
-  for (const MonitorRegion& region : regions_) {
+  auto next = oracle.begin();
+  for (const MonitorRegion& region : regions) {
     const double density = static_cast<double>(region.hits) /
                            (static_cast<double>(region.size()) *
                             monitored_total);
     for (std::uint64_t page = region.start; page < region.end; ++page) {
-      const double truth =
-          static_cast<double>(oracle[page]) / oracle_total;
+      std::uint32_t count = 0;
+      if (next != oracle.end() && next->page == page) count = (next++)->count;
+      const double truth = static_cast<double>(count) / oracle_total;
       distance += std::fabs(density - truth);
     }
   }
-  latest_hotness_error_ = 0.5 * distance;
-  return latest_hotness_error_;
+  return 0.5 * distance;
 }
 
 }  // namespace dmasim

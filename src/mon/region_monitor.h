@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/layout_manager.h"
 #include "mon/monitor_config.h"
 #include "util/check.h"
 #include "util/time.h"
@@ -113,17 +114,20 @@ class RegionMonitor {
 
   // --- Layout feed (called at popularity-layout intervals) ---------------
 
-  // Materializes per-page counts from the regions — single-page regions
+  // Materializes the regions' per-page counts — single-page regions
   // carry their full counter, wider regions their density — then applies
-  // the region-level rules (migrate-hot boosts, pin-cold zeroes). The
-  // returned buffer is owned by the monitor and reused across calls.
-  const std::vector<std::uint32_t>& MaterializeCounts();
+  // the region-level rules (migrate-hot boosts, pin-cold zeroes). Returns
+  // one run per region whose per-page count is nonzero, in page order;
+  // every other page counts zero. The buffer is owned by the monitor and
+  // reused across calls.
+  const std::vector<PageCountRun>& MaterializeRuns();
 
-  // Total-variation distance between the monitored access-mass
-  // distribution (region density) and an oracle per-page count vector.
-  // 0 = identical mass placement, 1 = disjoint. Records the result as
-  // the latest hotness error.
-  double RecordHotnessError(const std::vector<std::uint32_t>& oracle);
+  // Snapshots the regions and the oracle's referenced pages (`pages`, each
+  // with a nonzero `counts` entry; every other page counts zero) as the
+  // latest hotness-error sample. The distance itself is evaluated only
+  // when latest_hotness_error() reads it.
+  void RecordHotnessError(const std::vector<std::uint32_t>& counts,
+                          const std::vector<std::uint32_t>& pages);
 
   // --- Results ------------------------------------------------------------
 
@@ -133,7 +137,12 @@ class RegionMonitor {
                          static_cast<double>(now)
                    : 0.0;
   }
-  double latest_hotness_error() const { return latest_hotness_error_; }
+  // Total-variation distance between the monitored access-mass
+  // distribution (region density) and the oracle counts of the latest
+  // RecordHotnessError snapshot: 0 = identical mass placement, 1 =
+  // disjoint, -1 = never recorded. Evaluated from the snapshot on every
+  // call, so read it once.
+  double latest_hotness_error() const;
 
   const std::vector<MonitorRegion>& regions() const { return regions_; }
   const MonitorStats& stats() const { return stats_; }
@@ -145,7 +154,14 @@ class RegionMonitor {
   // Index of the region containing `page` (binary search; regions tile
   // the page space, so this always exists).
   std::size_t RegionIndexOf(std::uint64_t page) const;
-  void SplitAtSample(std::size_t index, std::uint64_t page);
+  // Splits region `index` around `page` when the budget allows and
+  // returns the index of the region now holding `page`.
+  std::size_t SplitAtSample(std::size_t index, std::uint64_t page);
+  // floor(hits / size) <= merge_max_hits, without a division.
+  bool ColdPerPage(const MonitorRegion& region) const {
+    return region.size() > cold_exact_size_ ||
+           region.hits < cold_hits_per_page_ * region.size();
+  }
   void MergeColdNeighbours();
   void ApplyChipRules();
 
@@ -163,10 +179,27 @@ class RegionMonitor {
   std::vector<std::uint32_t> chip_idle_streak_;
   std::vector<ChipDemotion> chips_to_demote_;
 
-  std::vector<std::uint32_t> materialized_;
+  // ColdPerPage's bound: a region is cold iff hits < size *
+  // cold_hits_per_page_ (merge_max_hits + 1). Every region wider than
+  // cold_exact_size_ is cold outright, since its product would exceed
+  // kMaxHits, the most hits a region can hold; the product computed for
+  // narrower regions stays within kMaxHits, so it never overflows.
+  std::uint64_t cold_hits_per_page_ = 0;
+  std::uint64_t cold_exact_size_ = 0;
+
+  std::vector<PageCountRun> runs_;
+
+  // The latest hotness-error snapshot: the regions and the oracle's
+  // referenced pages with their counts, as RecordHotnessError saw them.
+  // Regions tile the page space, so only an unrecorded snapshot is empty.
+  struct OracleCount {
+    std::uint32_t page = 0;
+    std::uint32_t count = 0;
+  };
+  std::vector<MonitorRegion> hotness_regions_;
+  std::vector<OracleCount> hotness_oracle_;
 
   MonitorStats stats_;
-  double latest_hotness_error_ = -1.0;  // Never computed yet.
 };
 
 }  // namespace dmasim

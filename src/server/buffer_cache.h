@@ -4,8 +4,10 @@
 // In the default experiment setup the workload's logical page space equals
 // physical memory, so capacity misses do not occur naturally; the server
 // layer can instead force the trace's published miss ratio (see
-// ServerConfig::forced_miss_ratio). The cache is still maintained so that
-// closed-loop examples with larger-than-memory data sets behave properly.
+// ServerConfig::forced_miss_ratio). With forced misses the server neither
+// reads nor fills this cache; it is used only when misses come from the
+// LRU index (forced_miss_ratio < 0), e.g. for larger-than-memory data
+// sets.
 #ifndef DMASIM_SERVER_BUFFER_CACHE_H_
 #define DMASIM_SERVER_BUFFER_CACHE_H_
 

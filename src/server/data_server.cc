@@ -25,7 +25,6 @@ int DataServer::PickBus() {
 
 bool DataServer::IsMiss(std::uint64_t page) {
   if (config_.forced_miss_ratio >= 0.0) {
-    cache_.Insert(page);  // Keep the index warm for inspection.
     return rng_.NextDouble() < config_.forced_miss_ratio;
   }
   const bool hit = cache_.Lookup(page);

@@ -87,7 +87,6 @@ class DataServer {
   // Client-perceived response times, in ticks.
   const RunningMean& ResponseTime() const { return response_time_; }
   const ServerStats& stats() const { return stats_; }
-  const BufferCache& cache() const { return cache_; }
   DiskArray& disks() { return disks_; }
 
   // Observability hook points (SimulationObserver). Optional and inert
@@ -107,7 +106,7 @@ class DataServer {
   Simulator* simulator_;
   MemoryController* controller_;
   ServerConfig config_;
-  BufferCache cache_;
+  BufferCache cache_;  // Consulted only without forced misses.
   DiskArray disks_;
   NetworkModel network_;
   Rng rng_;

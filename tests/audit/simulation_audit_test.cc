@@ -2,8 +2,13 @@
 // pass every registered invariant at level 2, and a deliberately seeded
 // fault (a chip model that skips the nap resync delay) is caught by the
 // power-state legality invariant.
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "audit/simulation_audit.h"
 #include "server/simulation_driver.h"
 #include "trace/workloads.h"
 
@@ -109,6 +114,66 @@ TEST(SimulationAuditTest, MonitoredRunPassesRegionBudgetInvariant) {
   EXPECT_GT(results.monitor.splits, 0u);
   EXPECT_GE(results.monitor.regions, 32);
   EXPECT_LE(results.monitor.regions, 1024);
+}
+
+TEST(SimulationAuditTest, PlRunsPassLayoutIndexInvariant) {
+  // 170 ms runs eight layout rounds, the last of which ages the oracle
+  // counts, so the layout-index invariant judges a referenced-page index
+  // that grew by Record and was compacted by Age, and a page map after
+  // real swaps -- once planned from the oracle, once from the monitor.
+  for (const bool monitored : {false, true}) {
+    SCOPED_TRACE(monitored ? "monitored" : "oracle");
+    SimulationOptions options = AuditedOptions();
+    options.audit_level = 1;
+    options.memory.dma.ta.enabled = true;
+    options.memory.dma.ta.mu = 2.0;
+    options.memory.dma.pl.enabled = true;
+    options.memory.monitor.enabled = monitored;
+    SchemeRule hot;
+    hot.size_lo = 1;
+    hot.size_hi = 1;
+    hot.acc_lo = 8;
+    hot.action = SchemeAction::kMigrateHot;
+    options.memory.monitor.rules.push_back(hot);
+    const SimulationResults results =
+        RunWorkload(ShortWorkload(170 * kMillisecond), options);
+    EXPECT_GT(results.audit_checks, 0u);
+    EXPECT_EQ(results.audit_failures, 0u);
+    EXPECT_GT(results.controller.migrations, 0u);
+  }
+}
+
+TEST(LayoutIndexCheckTest, ReportsHandBuiltMismatches) {
+  // Two chips of two pages; pages 1 and 3 are referenced.
+  const std::vector<std::uint32_t> counts = {0, 3, 0, 1};
+  const std::vector<std::int32_t> layout = {0, 1, 0, 1};
+  std::string message;
+  EXPECT_TRUE(CheckLayoutIndex(counts, {3, 1}, layout, 2, 2, &message))
+      << message;
+
+  EXPECT_FALSE(CheckLayoutIndex(counts, {1}, layout, 2, 2, &message));
+  EXPECT_NE(message.find("page 3 has count 1 but is missing"),
+            std::string::npos)
+      << message;
+  EXPECT_FALSE(CheckLayoutIndex(counts, {1, 3, 1}, layout, 2, 2, &message));
+  EXPECT_NE(message.find("lists page 1 twice"), std::string::npos) << message;
+  EXPECT_FALSE(CheckLayoutIndex(counts, {1, 2, 3}, layout, 2, 2, &message));
+  EXPECT_NE(message.find("lists page 2 whose count is 0"), std::string::npos)
+      << message;
+  EXPECT_FALSE(CheckLayoutIndex(counts, {1, 3, 9}, layout, 2, 2, &message));
+  EXPECT_NE(message.find("page 9 outside the page space"), std::string::npos)
+      << message;
+
+  // A swap that lost its partner: chip 0 holds three pages.
+  EXPECT_FALSE(
+      CheckLayoutIndex(counts, {1, 3}, {0, 0, 0, 1}, 2, 2, &message));
+  EXPECT_NE(message.find("chip 0 holds 3 logical pages, not 2"),
+            std::string::npos)
+      << message;
+  EXPECT_FALSE(
+      CheckLayoutIndex(counts, {1, 3}, {0, 1, 2, 1}, 2, 2, &message));
+  EXPECT_NE(message.find("page 2 maps to chip 2 of 2"), std::string::npos)
+      << message;
 }
 
 TEST(SimulationAuditTest, SeededResyncFaultIsCaught) {

@@ -14,6 +14,7 @@
 
 #include "exp/result_sink.h"
 #include "exp/sweep_runner.h"
+#include "mon/scheme_parser.h"
 #include "server/simulation_driver.h"
 #include "trace/workloads.h"
 #include "util/fnv.h"
@@ -196,6 +197,81 @@ TEST(DeterminismTest, PinnedDatabaseRunIsStable) {
   EXPECT_EQ(r.releases_by_slack, 722u);
   EXPECT_EQ(r.controller.migrations, 90u);
 #endif
+}
+
+TEST(DeterminismTest, PinnedLayoutRoundsAreStable) {
+  // Byte-level anchor for PL's layout rounds: 200 ms of OLTP-St (ten
+  // 20 ms rounds, the eighth of which also ages the oracle counts),
+  // planned from the oracle counts and from the monitor's regions with
+  // 2 and 3 groups. Planner, popularity-index and hotness-error changes
+  // must leave every value here unchanged.
+  WorkloadSpec spec = OltpStorageSpec();
+  spec.duration = 200 * kMillisecond;
+  const Trace trace = GenerateWorkload(spec);
+  const SchemeParseResult schemes = ParseSchemeString(
+      "1 1 8 * 0 migrate-hot\n"
+      "64 * 0 1 4 pin-cold\n"
+      "* * 0 0 8 demote-chip\n");
+  ASSERT_TRUE(schemes.ok()) << schemes.error;
+
+  struct Pin {
+    bool monitored;
+    int groups;
+    std::uint64_t energy_bits[kEnergyBucketCount];
+    std::uint64_t response_bits;
+    std::uint64_t migrations;
+    std::uint64_t deferred_migrations;
+    std::uint64_t hotness_error_bits;
+  };
+  // The hotness error of an oracle run is never computed: -1.0.
+  constexpr Pin kPins[] = {
+      {false, 2,
+       {0x3f80952c2a330ac0ULL, 0x3f9107833e205261ULL, 0x3f03a726caeffd94ULL,
+        0x3f44c3ff358d24feULL, 0x3f97a1f4bbfe6b8fULL, 0x3f57a7e7652979afULL},
+       0x41fb65521a05102dULL, 940u, 0u, 0xbff0000000000000ULL},
+      {false, 3,
+       {0x3f80a0d9764ad850ULL, 0x3f91b5eb764e03eaULL, 0x3f04499f418a74eeULL,
+        0x3f45d44e335a436eULL, 0x3f97c31b63e4fc66ULL, 0x3f6149f6bb8014ebULL},
+       0x41fc01ddfa54e5d9ULL, 1374u, 0u, 0xbff0000000000000ULL},
+      {true, 2,
+       {0x3f80b2f806d9b20fULL, 0x3f91f1c7954bf05aULL, 0x3f0442bd135ada2bULL,
+        0x3f45c79ded751090ULL, 0x3f97c1d28a2f9b2aULL, 0x3f2a933a6b1c133eULL},
+       0x41fba42c04364ce1ULL, 132u, 0u, 0x3fdef7bd4064db64ULL},
+      {true, 3,
+       {0x3f80c7e8255ca1e4ULL, 0x3f925be01b8634c6ULL, 0x3f04dd9d2fc44825ULL,
+        0x3f46ccf67d9f36bfULL, 0x3f97e0d27b28010fULL, 0x3f321e908ed8f5e7ULL},
+       0x41fbaca37ed85891ULL, 180u, 0u, 0x3fde8c9ca11d69c8ULL},
+  };
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(std::string(pin.monitored ? "monitored" : "oracle") +
+                 " groups " + std::to_string(pin.groups));
+    SimulationOptions options;
+    options.memory.dma.ta.enabled = true;
+    options.memory.dma.ta.mu = 2.0;
+    options.memory.dma.pl.enabled = true;
+    options.memory.dma.pl.groups = pin.groups;
+    options.memory.monitor.enabled = pin.monitored;
+    if (pin.monitored) options.memory.monitor.rules = schemes.rules;
+    const SimulationResults r =
+        RunTrace(trace, spec.miss_ratio, spec.duration, options, spec.name);
+    EXPECT_GT(r.controller.migrations, 0u);
+
+#if defined(__GNUC__) && !defined(__clang__)
+    // Compiler-gated for the same reason as the pinned sweep checksum.
+    for (int i = 0; i < kEnergyBucketCount; ++i) {
+      const auto bucket = static_cast<EnergyBucket>(i);
+      EXPECT_EQ(Bits(r.energy.Of(bucket).joules()), pin.energy_bits[i])
+          << "energy bucket " << EnergyBucketName(bucket) << " = "
+          << std::hex << Bits(r.energy.Of(bucket).joules());
+    }
+    EXPECT_EQ(Bits(r.client_response.Mean()), pin.response_bits)
+        << std::hex << Bits(r.client_response.Mean());
+    EXPECT_EQ(r.controller.migrations, pin.migrations);
+    EXPECT_EQ(r.controller.deferred_migrations, pin.deferred_migrations);
+    EXPECT_EQ(Bits(r.monitor.hotness_error), pin.hotness_error_bits)
+        << std::hex << Bits(r.monitor.hotness_error);
+#endif
+  }
 }
 
 TEST(DeterminismTest, ChunkRunCoalescingIsArtifactInvisible) {

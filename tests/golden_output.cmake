@@ -1,5 +1,6 @@
-# Runs one figure bench in fast mode (DMASIM_FAST=1) and passes only if
-# its stdout equals a committed golden file byte for byte. On a mismatch
+# Runs one program in fast mode (DMASIM_FAST=1; the figure benches read
+# it, monitor_eval ignores it) and passes only if its stdout equals a
+# committed golden file byte for byte. On a mismatch
 # the actual output is written next to the test's working directory as
 # <golden name>.actual, so `diff` shows which cells moved.
 #
@@ -13,6 +14,7 @@
 #       > tests/golden/fig5_fast.txt
 #   DMASIM_FAST=1 ./build/bench/bench_fig9_cpu_accesses \
 #       > tests/golden/fig9_fast.txt
+#   ./build/examples/monitor_eval > tests/golden/monitor_eval.txt
 set(command)
 set(after_separator FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")

@@ -4,12 +4,17 @@
 // account.
 #include "mon/region_monitor.h"
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/popularity_tracker.h"
 #include "mon/scheme_parser.h"
+#include "util/random.h"
 
 namespace dmasim {
 namespace {
@@ -44,6 +49,34 @@ void ExpectTiling(const RegionMonitor& monitor) {
     EXPECT_EQ(regions[i].start, regions[i - 1].end);
     EXPECT_LT(regions[i].start, regions[i].end);
   }
+}
+
+// The per-page counts MaterializeRuns stands for: each run's count over
+// its pages, zero elsewhere. Runs must be in range and disjoint.
+std::vector<std::uint32_t> DenseCounts(const std::vector<PageCountRun>& runs,
+                                       std::uint64_t pages) {
+  std::vector<std::uint32_t> counts(pages, 0);
+  std::uint64_t previous_end = 0;
+  for (const PageCountRun& run : runs) {
+    EXPECT_GT(run.count, 0u);
+    EXPECT_GE(run.first, previous_end);
+    EXPECT_LE(std::uint64_t{run.first} + run.pages, pages);
+    for (std::uint32_t i = 0; i < run.pages; ++i) {
+      counts[run.first + i] = run.count;
+    }
+    previous_end = std::uint64_t{run.first} + run.pages;
+  }
+  return counts;
+}
+
+// The pages of a dense count vector that RecordHotnessError takes.
+std::vector<std::uint32_t> NonzeroPages(
+    const std::vector<std::uint32_t>& counts) {
+  std::vector<std::uint32_t> pages;
+  for (std::uint64_t page = 0; page < counts.size(); ++page) {
+    if (counts[page] > 0) pages.push_back(static_cast<std::uint32_t>(page));
+  }
+  return pages;
 }
 
 TEST(RegionMonitorTest, InitialTilingCoversPageSpace) {
@@ -181,7 +214,8 @@ TEST(RegionMonitorTest, MaterializeSpreadsDensityAndFloorsNoise) {
   MonitorConfig config = SmallConfig();
   RegionMonitor monitor(config, kPages, kChips);
   for (int i = 0; i < 9; ++i) monitor.ObserveTransfer(10, 0);
-  const std::vector<std::uint32_t>& counts = monitor.MaterializeCounts();
+  const std::vector<std::uint32_t> counts =
+      DenseCounts(monitor.MaterializeRuns(), kPages);
   ASSERT_EQ(counts.size(), kPages);
   EXPECT_EQ(counts[10], 9u);
   // Wide regions got no hits here: their density floors to zero, so
@@ -202,7 +236,8 @@ TEST(RegionMonitorTest, SchemesBoostHotAndPinCold) {
 
   for (int i = 0; i < 9; ++i) monitor.ObserveTransfer(10, 0);  // Hot.
   for (int i = 0; i < 2; ++i) monitor.ObserveTransfer(40, 1);  // Warm.
-  const std::vector<std::uint32_t>& counts = monitor.MaterializeCounts();
+  const std::vector<std::uint32_t> counts =
+      DenseCounts(monitor.MaterializeRuns(), kPages);
   // Hot single-page region: full counter plus the migrate-hot boost.
   EXPECT_EQ(counts[10], 9u + 16u);
   // Warm single-page region (2 hits < acc_lo 8): no rule matches a
@@ -224,7 +259,7 @@ TEST(RegionMonitorTest, FirstMatchingRuleWins) {
   config.rules = schemes.rules;
   RegionMonitor monitor(config, kPages, kChips);
   for (int i = 0; i < 9; ++i) monitor.ObserveTransfer(10, 0);
-  EXPECT_EQ(monitor.MaterializeCounts()[10], 0u);
+  EXPECT_EQ(DenseCounts(monitor.MaterializeRuns(), kPages)[10], 0u);
 }
 
 TEST(RegionMonitorTest, DemoteChipFiresAfterIdleStreak) {
@@ -279,28 +314,101 @@ TEST(RegionMonitorTest, DemoteDepthRidesTheMatchedRule) {
 TEST(RegionMonitorTest, HotnessErrorBoundsAndDirection) {
   RegionMonitor monitor(SmallConfig(), kPages, kChips);
   std::vector<std::uint32_t> oracle(kPages, 0);
+  EXPECT_EQ(monitor.latest_hotness_error(), -1.0);  // Never recorded.
 
   // Neither side has mass: distributions agree trivially.
-  EXPECT_EQ(monitor.RecordHotnessError(oracle), 0.0);
+  monitor.RecordHotnessError(oracle, NonzeroPages(oracle));
+  EXPECT_EQ(monitor.latest_hotness_error(), 0.0);
 
   // Monitor isolates page 10; oracle agrees -> small distance.
   for (int i = 0; i < 20; ++i) monitor.ObserveTransfer(10, 0);
   monitor.Aggregate();
   oracle[10] = 20;
-  const double aligned = monitor.RecordHotnessError(oracle);
+  monitor.RecordHotnessError(oracle, NonzeroPages(oracle));
+  const double aligned = monitor.latest_hotness_error();
   EXPECT_LT(aligned, 0.2);
   EXPECT_EQ(monitor.latest_hotness_error(), aligned);
 
   // Oracle mass on a page the monitor thinks is cold -> near 1.
   oracle[10] = 0;
   oracle[50] = 20;
-  const double disjoint = monitor.RecordHotnessError(oracle);
+  monitor.RecordHotnessError(oracle, NonzeroPages(oracle));
+  const double disjoint = monitor.latest_hotness_error();
   EXPECT_GT(disjoint, 0.9);
   EXPECT_LE(disjoint, 1.0);
 
   // One-sided mass is maximal distance by convention.
   RegionMonitor empty(SmallConfig(), kPages, kChips);
-  EXPECT_EQ(empty.RecordHotnessError(oracle), 1.0);
+  empty.RecordHotnessError(oracle, NonzeroPages(oracle));
+  EXPECT_EQ(empty.latest_hotness_error(), 1.0);
+}
+
+// The hotness error as RecordHotnessError used to compute it on the
+// spot, from the live regions and a dense oracle: the reference for the
+// deferred evaluation.
+double EagerHotnessError(const std::vector<MonitorRegion>& regions,
+                         const std::vector<std::uint32_t>& oracle) {
+  double monitored_total = 0.0;
+  for (const MonitorRegion& region : regions) {
+    monitored_total += static_cast<double>(region.hits);
+  }
+  double oracle_total = 0.0;
+  for (std::uint32_t count : oracle) {
+    oracle_total += static_cast<double>(count);
+  }
+  if (monitored_total <= 0.0 && oracle_total <= 0.0) return 0.0;
+  if (monitored_total <= 0.0 || oracle_total <= 0.0) return 1.0;
+  double distance = 0.0;
+  for (const MonitorRegion& region : regions) {
+    const double density = static_cast<double>(region.hits) /
+                           (static_cast<double>(region.size()) *
+                            monitored_total);
+    for (std::uint64_t page = region.start; page < region.end; ++page) {
+      const double truth = static_cast<double>(oracle[page]) / oracle_total;
+      distance += std::fabs(density - truth);
+    }
+  }
+  return 0.5 * distance;
+}
+
+TEST(RegionMonitorTest, DeferredHotnessErrorEqualsEagerOne) {
+  // Each round records a snapshot, then keeps sampling, recording oracle
+  // traffic and aging both sides before the error is read: the value
+  // read must be the eager one of the snapshot's moment, to the bit.
+  MonitorConfig config = SmallConfig();
+  const SchemeParseResult schemes = ParseSchemeString(
+      "1 1 4 * 0 migrate-hot\n"
+      "2 * 0 1 1 pin-cold\n");
+  ASSERT_TRUE(schemes.ok()) << schemes.error;
+  config.rules = schemes.rules;
+  RegionMonitor monitor(config, kPages, kChips);
+  PopularityTracker oracle(kPages, /*max_count=*/12);
+  Rng rng(29);
+  auto traffic = [&](int transfers) {
+    for (int i = 0; i < transfers; ++i) {
+      // Skewed: a quarter of the traffic goes to four pages.
+      const std::uint64_t page = rng.NextBounded(4) == 0
+                                     ? 8 * rng.NextBounded(4) + 3
+                                     : rng.NextBounded(kPages);
+      monitor.ObserveTransfer(page, static_cast<int>(page % kChips));
+      oracle.Record(page);
+    }
+  };
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    traffic(30);
+    monitor.Aggregate();
+    monitor.MaterializeRuns();
+    monitor.RecordHotnessError(oracle.counts(), oracle.nonzero_pages());
+    const double eager = EagerHotnessError(monitor.regions(), oracle.counts());
+
+    traffic(25);
+    if (round % 3 == 2) oracle.Age();
+    monitor.Aggregate();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(monitor.latest_hotness_error()),
+              std::bit_cast<std::uint64_t>(eager))
+        << monitor.latest_hotness_error() << " vs " << eager;
+  }
 }
 
 TEST(RegionMonitorTest, OverheadAccountChargesConfiguredCosts) {
@@ -337,6 +445,42 @@ TEST(RegionMonitorTest, ProbesAreChargedInClosedForm) {
   EXPECT_EQ(monitor.ChargeProbesThrough(499), 0u);
   EXPECT_EQ(monitor.stats().probes, 4u);
   EXPECT_EQ(monitor.stats().busy_ticks, 4 * 3);
+}
+
+TEST(RegionMonitorTest, MergeDensityBoundaryIsExactAtAnyThreshold) {
+  // Six regions with the budget full, so further samples add hits
+  // without splitting: [0,1) 1, [1,16) 29, [16,17) 1, [17,32) 30,
+  // [32,33) 1, [33,64) 0. With merge_max_hits 1 a region is cold iff
+  // floor(hits / size) <= 1: 29 hits over 15 pages are cold, 30 are not.
+  auto merged_regions = [](std::uint64_t merge_max_hits) {
+    MonitorConfig config = SmallConfig();
+    config.min_regions = 2;
+    config.max_regions = 6;
+    config.merge_max_hits = merge_max_hits;
+    RegionMonitor monitor(config, kPages, kChips);
+    monitor.ObserveTransfer(0, 0);
+    monitor.ObserveTransfer(32, 0);
+    monitor.ObserveTransfer(16, 0);
+    for (int i = 0; i < 29; ++i) monitor.ObserveTransfer(5, 0);
+    for (int i = 0; i < 30; ++i) monitor.ObserveTransfer(20, 0);
+    EXPECT_EQ(monitor.regions().size(), 6u);
+    monitor.Aggregate();
+    std::vector<std::uint64_t> starts;
+    for (const MonitorRegion& region : monitor.regions()) {
+      starts.push_back(region.start);
+    }
+    return starts;
+  };
+  EXPECT_EQ(merged_regions(1), (std::vector<std::uint64_t>{0, 17, 32}));
+  // At and beyond the hit pin every region is cold, whatever its
+  // density, and the bound's product must not overflow on the way.
+  const std::vector<std::uint64_t> floor_only{0, 33};
+  EXPECT_EQ(merged_regions(RegionMonitor::kMaxHits - 1), floor_only);
+  EXPECT_EQ(merged_regions(RegionMonitor::kMaxHits), floor_only);
+  EXPECT_EQ(merged_regions(UINT64_MAX), floor_only);
+  // merge_max_hits 0: one hit on one page is already hot.
+  EXPECT_EQ(merged_regions(0),
+            (std::vector<std::uint64_t>{0, 1, 16, 17, 32, 33}));
 }
 
 TEST(RegionMonitorTest, HitCountersPinInsteadOfWrapping) {
@@ -383,8 +527,10 @@ TEST(MonitorDeterminismTest, IdenticalSamplesIdenticalRegions) {
     EXPECT_EQ(a.regions()[i].hits, b.regions()[i].hits);
     EXPECT_EQ(a.regions()[i].age, b.regions()[i].age);
   }
-  const std::vector<std::uint32_t>& counts_a = a.MaterializeCounts();
-  const std::vector<std::uint32_t>& counts_b = b.MaterializeCounts();
+  const std::vector<std::uint32_t> counts_a =
+      DenseCounts(a.MaterializeRuns(), kPages);
+  const std::vector<std::uint32_t> counts_b =
+      DenseCounts(b.MaterializeRuns(), kPages);
   EXPECT_EQ(counts_a, counts_b);
   EXPECT_EQ(a.stats().busy_ticks, b.stats().busy_ticks);
 }

@@ -94,6 +94,9 @@ SimulationAudit::SimulationAudit(Simulator* simulator,
   DMASIM_EXPECTS(simulator != nullptr);
   DMASIM_EXPECTS(controller != nullptr);
   DMASIM_EXPECTS(options.level >= 1);
+  // A periodic pass re-arms itself one period later: a period <= 0 would
+  // re-arm at the same tick forever.
+  if (options.level >= 2) DMASIM_EXPECTS(options.period > 0);
 
   const int chips = controller_->chip_count();
   shadow_energy_.assign(static_cast<std::size_t>(chips), {});

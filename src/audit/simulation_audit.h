@@ -40,7 +40,7 @@ class SimulationAudit : public ChipAuditSink {
     // 1 = end-of-run registry pass only, 2 = also periodic passes and
     // transition-time validation/abort.
     int level = 1;
-    Tick period = kMillisecond;  // Cadence of level-2 periodic passes.
+    Tick period = kMillisecond;  // Level-2 pass cadence; must be > 0.
     InvariantAuditor::Mode mode = InvariantAuditor::Mode::kAbort;
     // Model the power-state legality invariant judges transitions
     // against; null means the controller's own configured model.

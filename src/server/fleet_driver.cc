@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstddef>
 #include <deque>
 #include <memory>
 #include <thread>
-#include <utility>
 
 #include "audit/shard_audit.h"
-#include "audit/simulation_audit.h"
-#include "obs/simulation_obs.h"
+#include "server/domain.h"
 #include "util/fnv.h"
 #include "util/random.h"
 
@@ -33,26 +30,100 @@ struct FleetShared {
   DMASIM_SHARED_CONST std::uint64_t salt = 0;
 };
 
-// One memory-controller domain: a complete simulated system around a
-// private kernel, plus its side of the remote-read bookkeeping. Lives in
-// a deque (Simulator is neither copyable nor movable).
-struct FleetDomain {
-  FleetDomain(int domain_index, FleetShared* shared_state)
-      : index(domain_index), shared(shared_state) {}
+// The domain a trace record's client stream is homed on: itself for
+// local streams, a stable peer for remote-homed ones. The stream is a
+// stable hash of the record's position in the domain's trace, folded
+// onto the per-domain stream space.
+int HomeOf(const FleetShared& shared, int domain, std::uint64_t position) {
+  std::uint64_t state = shared.salt ^
+                        (static_cast<std::uint64_t>(domain) << 40) ^ position;
+  const std::uint64_t stream = SplitMix64(state) % shared.stream_count;
+  state = shared.salt ^ 0x5eedULL ^
+          (static_cast<std::uint64_t>(domain) << 32) ^ stream;
+  const std::uint64_t hash = SplitMix64(state);
+  if ((hash & 0xffffffffULL) >= shared.remote_threshold) return domain;
+  const std::uint64_t peer =
+      (hash >> 32) % static_cast<std::uint64_t>(shared.domain_count - 1);
+  return (domain + 1 + static_cast<int>(peer)) % shared.domain_count;
+}
+
+// One fleet member: a Domain on its own engine shard, the workload and
+// options the domain borrows, and the member's side of the remote-read
+// traffic. Lives in a deque (Domain is neither copyable nor movable).
+struct FleetMember final : RemoteReads {
+  FleetMember(const FleetOptions& options, int member_index,
+              const FleetShared* shared_state)
+      : index(member_index),
+        shared(shared_state),
+        spec(MakeFleetDomainSpec(options, member_index)),
+        trace(GenerateWorkload(spec.workload)),
+        domain(spec.options, spec.workload.miss_ratio, trace,
+               shared_state->engine) {
+    if (shared->remote_threshold > 0) domain.set_remote_reads(this);
+  }
+
+  // dmasim-lint: window-context
+  bool Forward(const TraceRecord& record, std::uint64_t position) override {
+    const int home = HomeOf(*shared, index, position);
+    if (home == index) return false;
+    std::uint32_t slot;
+    if (!free_slots.empty()) {
+      slot = free_slots.back();
+      free_slots.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(slot_issue_time.size());
+      slot_issue_time.push_back(0);
+    }
+    const Tick now = domain.simulator().Now();
+    slot_issue_time[slot] = now;
+    ++remote_sent;
+    shared->engine->Send(
+        index, home, now + shared->remote_latency, kRemoteReadMsg, record.page,
+        static_cast<std::uint64_t>(static_cast<std::uint32_t>(record.bytes)),
+        slot);
+    return true;
+  }
+
+  // Barrier-time delivery: turns a cross-shard message into an ordinary
+  // event in this member's kernel.
+  void Handle(const ShardMessage& message) {
+    if (message.kind == kRemoteReadMsg) {
+      const std::uint64_t page = message.a;
+      const std::int64_t bytes = static_cast<std::int64_t>(message.b);
+      // Reply route: requesting domain in the high word, its slot below.
+      const std::uint64_t route =
+          (static_cast<std::uint64_t>(message.src) << 32) | message.c;
+      domain.simulator().ScheduleAt(
+          message.deliver_at, [this, page, bytes, route]() {
+            ++remote_served;
+            domain.server().ClientRead(page, bytes, [this, route](Tick end) {
+              shared->engine->Send(index, static_cast<int>(route >> 32),
+                                   end + shared->remote_latency,
+                                   kRemoteReplyMsg, 0, 0,
+                                   route & 0xffffffffULL);
+            });
+          });
+      return;
+    }
+    DMASIM_CHECK_EQ(message.kind, kRemoteReplyMsg);
+    const std::uint32_t slot = static_cast<std::uint32_t>(message.c);
+    domain.simulator().ScheduleAt(message.deliver_at, [this, slot]() {
+      ++remote_completed;
+      remote_response.Add(static_cast<double>(domain.simulator().Now() -
+                                              slot_issue_time[slot]));
+      free_slots.push_back(slot);
+    });
+  }
 
   DMASIM_SHARED_CONST int index;
-  DMASIM_SHARED_CONST FleetShared* shared;
-  // Everything below is the domain's private simulated system — owned
-  // by its shard's worker during a window, by the coordinator at
-  // barriers (delivery handlers).
-  DMASIM_SHARD_LOCAL Simulator simulator;
-  DMASIM_SHARD_LOCAL std::unique_ptr<LowPowerPolicy> policy;
-  DMASIM_SHARD_LOCAL std::unique_ptr<MemoryController> controller;
-  DMASIM_SHARD_LOCAL std::unique_ptr<DataServer> server;
-  DMASIM_SHARD_LOCAL Trace trace;
-  DMASIM_SHARD_LOCAL std::size_t cursor = 0;
+  DMASIM_SHARED_CONST const FleetShared* shared;
+  DMASIM_SHARED_CONST FleetDomainSpec spec;
+  DMASIM_SHARED_CONST Trace trace;
+  // The domain's private simulated system — owned by its shard's worker
+  // during a window, by the coordinator at barriers (Handle).
+  DMASIM_SHARD_LOCAL Domain domain;
 
-  // Outstanding remote reads this domain issued: slot -> issue time.
+  // Outstanding remote reads this member issued: slot -> issue time.
   // Slots recycle through the free list in deterministic order.
   DMASIM_SHARD_LOCAL std::vector<Tick> slot_issue_time;
   DMASIM_SHARD_LOCAL std::vector<std::uint32_t> free_slots;
@@ -62,122 +133,6 @@ struct FleetDomain {
   DMASIM_SHARD_LOCAL std::uint64_t remote_completed = 0;
   DMASIM_SHARD_LOCAL RunningMean remote_response;
 };
-
-// The stream a trace record belongs to: a stable hash of its position in
-// the domain's trace, folded onto the per-domain stream space.
-std::uint64_t StreamOf(const FleetShared& shared, int domain,
-                       std::uint64_t position) {
-  std::uint64_t state = shared.salt ^
-                        (static_cast<std::uint64_t>(domain) << 40) ^ position;
-  return SplitMix64(state) % shared.stream_count;
-}
-
-// The domain a (domain, stream) pair is homed on: itself for local
-// streams, a stable peer for remote-homed ones.
-int HomeOf(const FleetShared& shared, int domain, std::uint64_t stream) {
-  std::uint64_t state = shared.salt ^ 0x5eedULL ^
-                        (static_cast<std::uint64_t>(domain) << 32) ^ stream;
-  const std::uint64_t hash = SplitMix64(state);
-  if ((hash & 0xffffffffULL) >= shared.remote_threshold) return domain;
-  const std::uint64_t peer =
-      (hash >> 32) % static_cast<std::uint64_t>(shared.domain_count - 1);
-  return (domain + 1 + static_cast<int>(peer)) % shared.domain_count;
-}
-
-// dmasim-lint: window-context
-void ForwardRemoteRead(FleetDomain* domain, int home,
-                       const TraceRecord& record) {
-  std::uint32_t slot;
-  if (!domain->free_slots.empty()) {
-    slot = domain->free_slots.back();
-    domain->free_slots.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(domain->slot_issue_time.size());
-    domain->slot_issue_time.push_back(0);
-  }
-  const Tick now = domain->simulator.Now();
-  domain->slot_issue_time[slot] = now;
-  ++domain->remote_sent;
-  domain->shared->engine->Send(
-      domain->index, home, now + domain->shared->remote_latency,
-      kRemoteReadMsg, record.page,
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(record.bytes)),
-      slot);
-}
-
-// dmasim-lint: window-context
-void FeedRecord(FleetDomain* domain, const TraceRecord& record,
-                std::uint64_t position) {
-  switch (record.kind) {
-    case TraceEventKind::kClientRead: {
-      const FleetShared& shared = *domain->shared;
-      if (shared.remote_threshold > 0) {
-        const std::uint64_t stream = StreamOf(shared, domain->index, position);
-        const int home = HomeOf(shared, domain->index, stream);
-        if (home != domain->index) {
-          ForwardRemoteRead(domain, home, record);
-          return;
-        }
-      }
-      domain->server->ClientRead(record.page, record.bytes);
-      return;
-    }
-    case TraceEventKind::kClientWrite:
-      domain->server->ClientWrite(record.page, record.bytes);
-      return;
-    case TraceEventKind::kCpuAccess:
-      domain->server->CpuAccess(record.page, record.bytes);
-      return;
-  }
-}
-
-// Cursor-based feeder, the fleet counterpart of RunTrace's TraceFeeder.
-// dmasim-lint: window-context
-void PumpDomain(FleetDomain* domain) {
-  while (domain->cursor < domain->trace.size() &&
-         domain->trace[domain->cursor].time <= domain->simulator.Now()) {
-    const std::uint64_t position = domain->cursor;
-    const TraceRecord& record = domain->trace[domain->cursor++];
-    FeedRecord(domain, record, position);
-  }
-  if (domain->cursor < domain->trace.size()) {
-    domain->simulator.ScheduleAt(domain->trace[domain->cursor].time,
-                                 [domain]() { PumpDomain(domain); });
-  }
-}
-
-// Barrier-time delivery: turns a cross-shard message into an ordinary
-// event in the destination domain's kernel.
-void HandleMessage(FleetDomain* domain, const ShardMessage& message) {
-  if (message.kind == kRemoteReadMsg) {
-    const std::uint64_t page = message.a;
-    const std::int64_t bytes = static_cast<std::int64_t>(message.b);
-    // Reply route: requesting domain in the high word, its slot below.
-    const std::uint64_t route =
-        (static_cast<std::uint64_t>(message.src) << 32) | message.c;
-    domain->simulator.ScheduleAt(
-        message.deliver_at, [domain, page, bytes, route]() {
-          ++domain->remote_served;
-          domain->server->ClientRead(
-              page, bytes, [domain, route](Tick finish) {
-                const int requester = static_cast<int>(route >> 32);
-                domain->shared->engine->Send(
-                    domain->index, requester,
-                    finish + domain->shared->remote_latency, kRemoteReplyMsg,
-                    0, 0, route & 0xffffffffULL);
-              });
-        });
-    return;
-  }
-  DMASIM_CHECK_EQ(message.kind, kRemoteReplyMsg);
-  const std::uint32_t slot = static_cast<std::uint32_t>(message.c);
-  domain->simulator.ScheduleAt(message.deliver_at, [domain, slot]() {
-    ++domain->remote_completed;
-    domain->remote_response.Add(static_cast<double>(
-        domain->simulator.Now() - domain->slot_issue_time[slot]));
-    domain->free_slots.push_back(slot);
-  });
-}
 
 std::uint64_t Bits(double value) {
   return std::bit_cast<std::uint64_t>(value);
@@ -213,6 +168,20 @@ std::uint64_t FleetResults::Fingerprint() const {
   hash.MixU64(engine.windows);
   hash.MixU64(engine.delivered_messages);
   return hash.hash();
+}
+
+FleetDomainSpec MakeFleetDomainSpec(const FleetOptions& options, int index) {
+  // Domains are statistically alike but never in lockstep: trace and
+  // server randomness derive from the workload seed and the index.
+  std::uint64_t seed_state =
+      options.workload.seed +
+      0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(index + 1);
+  FleetDomainSpec spec{options.workload, options.base};
+  spec.options.server.request_compute_time =
+      options.workload.request_compute_time;
+  spec.options.server.seed = SplitMix64(seed_state);
+  spec.workload.seed = SplitMix64(seed_state);
+  return spec;
 }
 
 FleetResults RunFleet(const FleetOptions& options) {
@@ -251,65 +220,12 @@ FleetResults RunFleet(const FleetOptions& options) {
   ShardedEngine engine(engine_options);
   shared.engine = &engine;
 
-  std::deque<FleetDomain> domains;
-  std::vector<std::unique_ptr<SimulationAudit>> audits;
-  std::vector<std::unique_ptr<SimulationObserver>> observers;
+  std::deque<FleetMember> members;
   for (int i = 0; i < options.domains; ++i) {
-    FleetDomain& domain = domains.emplace_back(i, &shared);
-    domain.policy = MakePolicy(options.base.policy, options.base.thresholds,
-                               options.base.memory);
-    domain.controller = std::make_unique<MemoryController>(
-        &domain.simulator, options.base.memory, domain.policy.get());
-
-    // Domains are statistically alike but never in lockstep: trace and
-    // server randomness derive from the workload seed and the index.
-    std::uint64_t seed_state =
-        options.workload.seed +
-        0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i + 1);
-    ServerConfig server_config = options.base.server;
-    server_config.request_compute_time = options.workload.request_compute_time;
-    server_config.forced_miss_ratio = options.workload.miss_ratio;
-    server_config.seed = SplitMix64(seed_state);
-    domain.server = std::make_unique<DataServer>(
-        &domain.simulator, domain.controller.get(), server_config);
-
-    WorkloadSpec spec = options.workload;
-    spec.seed = SplitMix64(seed_state);
-    domain.trace = GenerateWorkload(spec);
-    if (!domain.trace.empty()) {
-      FleetDomain* pumped = &domain;
-      domain.simulator.ScheduleAt(domain.trace[0].time,
-                                  [pumped]() { PumpDomain(pumped); });
-    }
-
-    if (options.base.audit_level >= 1) {
-      SimulationAudit::Options audit_options;
-      audit_options.level = options.base.audit_level;
-      audit_options.period = options.base.audit_period;
-      audit_options.mode = options.base.audit_abort
-                               ? InvariantAuditor::Mode::kAbort
-                               : InvariantAuditor::Mode::kCollect;
-      audit_options.reference_model = options.base.audit_reference_model;
-      audits.push_back(std::make_unique<SimulationAudit>(
-          &domain.simulator, domain.controller.get(), audit_options));
-    }
-
-    if (options.base.obs_level >= 1) {
-      SimulationObserver::Options obs_options;
-      obs_options.level = options.base.obs_level;
-      obs_options.trace_capacity = options.base.obs_trace_capacity;
-      obs_options.simulator = &domain.simulator;
-      // Every domain's observer sees the shared engine, so any domain's
-      // metric snapshot carries the fleet-wide window/mailbox counters.
-      obs_options.engine = &engine;
-      observers.push_back(std::make_unique<SimulationObserver>(
-          domain.controller.get(), domain.server.get(), obs_options));
-    }
-
-    FleetDomain* handled = &domain;
-    engine.AddShard(&domain.simulator,
-                    [handled](const ShardMessage& message) {
-                      HandleMessage(handled, message);
+    FleetMember* member = &members.emplace_back(options, i, &shared);
+    engine.AddShard(&member->domain.simulator(),
+                    [member](const ShardMessage& message) {
+                      member->Handle(message);
                     });
   }
 
@@ -319,33 +235,17 @@ FleetResults RunFleet(const FleetOptions& options) {
   const int cores =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   engine.Run(end, std::min(options.sim_threads, cores));
-  for (FleetDomain& domain : domains) domain.simulator.RunUntil(end);
+  for (FleetMember& member : members) member.domain.simulator().RunUntil(end);
 
   FleetResults fleet;
   fleet.duration = end;
-  for (FleetDomain& domain : domains) {
-    FleetDomainResults summary;
-    summary.results.workload = options.workload.name;
-    summary.results.scheme = SchemeName(options.base.memory) + "/" +
-                             PolicyKindName(options.base.policy);
-    if (options.base.audit_level >= 1) {
-      SimulationAudit& audit = *audits[static_cast<std::size_t>(domain.index)];
-      audit.Finish();
-      summary.results.audit_checks = audit.auditor().checks_run();
-      summary.results.audit_failures = audit.auditor().failures().size();
-    }
-    CollectRunResults(&domain.simulator, domain.controller.get(),
-                      domain.server.get(), &summary.results);
-    if (options.base.obs_level >= 1) {
-      SimulationObserver& observer =
-          *observers[static_cast<std::size_t>(domain.index)];
-      observer.Finish();
-      summary.results.metrics = observer.SnapshotMetrics();
-    }
-    summary.remote_sent = domain.remote_sent;
-    summary.remote_served = domain.remote_served;
-    summary.remote_completed = domain.remote_completed;
-    summary.remote_response = domain.remote_response;
+  for (FleetMember& member : members) {
+    FleetDomainResults& summary = fleet.domains.emplace_back();
+    summary.results = member.domain.Collect(options.workload.name);
+    summary.remote_sent = member.remote_sent;
+    summary.remote_served = member.remote_served;
+    summary.remote_completed = member.remote_completed;
+    summary.remote_response = member.remote_response;
 
     fleet.energy += summary.results.energy;
     fleet.client_response.Merge(summary.results.client_response);
@@ -355,7 +255,6 @@ FleetResults RunFleet(const FleetOptions& options) {
     fleet.remote_sent += summary.remote_sent;
     fleet.remote_served += summary.remote_served;
     fleet.remote_completed += summary.remote_completed;
-    fleet.domains.push_back(std::move(summary));
   }
   fleet.engine = engine.stats();
   if (options.record_deliveries) fleet.deliveries = engine.deliveries();

@@ -72,6 +72,16 @@ struct FleetOptions {
   DMASIM_SHARED_CONST std::uint64_t sched_fuzz_seed = 0;
 };
 
+// Domain `index`'s workload and options: the fleet's templates, seeded
+// from `workload.seed` and the index. RunFleet builds the domain from
+// exactly these, so with no remote-homed stream RunTrace on this pair
+// reproduces it bit for bit.
+struct FleetDomainSpec {
+  DMASIM_SHARED_CONST WorkloadSpec workload;
+  DMASIM_SHARED_CONST SimulationOptions options;
+};
+FleetDomainSpec MakeFleetDomainSpec(const FleetOptions& options, int index);
+
 // One domain's outcome: the usual single-system results plus its side of
 // the remote-read traffic. Results structs are assembled after the run
 // on the coordinator — barrier context, hence DMASIM_BARRIER_ONLY.

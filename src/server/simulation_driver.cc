@@ -1,51 +1,11 @@
 #include "server/simulation_driver.h"
 
-#include <cstddef>
 #include <memory>
-#include <utility>
 
-#include "audit/simulation_audit.h"
-#include "obs/simulation_obs.h"
 #include "obs/trace_export.h"
-#include "sim/simulator.h"
+#include "server/domain.h"
 
 namespace dmasim {
-
-namespace {
-
-// Cursor-based trace feeder: keeps the event queue small even for
-// CPU-access heavy database traces. Lives on RunTrace's stack (the
-// simulator never outlives the call) so feed events capture one pointer.
-struct TraceFeeder {
-  Simulator* simulator;
-  DataServer* server;
-  const Trace* trace;
-  std::size_t cursor = 0;
-
-  void Pump() {
-    while (cursor < trace->size() &&
-           (*trace)[cursor].time <= simulator->Now()) {
-      const TraceRecord& record = (*trace)[cursor++];
-      switch (record.kind) {
-        case TraceEventKind::kClientRead:
-          server->ClientRead(record.page, record.bytes);
-          break;
-        case TraceEventKind::kClientWrite:
-          server->ClientWrite(record.page, record.bytes);
-          break;
-        case TraceEventKind::kCpuAccess:
-          server->CpuAccess(record.page, record.bytes);
-          break;
-      }
-    }
-    if (cursor < trace->size()) {
-      simulator->ScheduleAt((*trace)[cursor].time,
-                            [this]() { Pump(); });
-    }
-  }
-};
-
-}  // namespace
 
 std::string PolicyKindName(PolicyKind kind) {
   switch (kind) {
@@ -185,67 +145,16 @@ double SimulationResults::MemoryTimePerRequest() const {
 SimulationResults RunTrace(const Trace& trace, double miss_ratio,
                            Tick duration, const SimulationOptions& options,
                            const std::string& workload_name) {
-  DMASIM_EXPECTS(IsTimeSorted(trace));
-
-  Simulator simulator;
-  std::unique_ptr<LowPowerPolicy> policy =
-      MakePolicy(options.policy, options.thresholds, options.memory);
-  MemoryController controller(&simulator, options.memory, policy.get());
-  ServerConfig server_config = options.server;
-  server_config.forced_miss_ratio = miss_ratio;
-  DataServer server(&simulator, &controller, server_config);
-
-  TraceFeeder feeder{&simulator, &server, &trace};
-  if (!trace.empty()) {
-    simulator.ScheduleAt(trace[0].time, [&feeder]() { feeder.Pump(); });
-  }
-
-  std::unique_ptr<SimulationAudit> audit;
-  if (options.audit_level >= 1) {
-    SimulationAudit::Options audit_options;
-    audit_options.level = options.audit_level;
-    audit_options.period = options.audit_period;
-    audit_options.mode = options.audit_abort ? InvariantAuditor::Mode::kAbort
-                                             : InvariantAuditor::Mode::kCollect;
-    audit_options.reference_model = options.audit_reference_model;
-    audit = std::make_unique<SimulationAudit>(&simulator, &controller,
-                                              audit_options);
-  }
-
-  std::unique_ptr<SimulationObserver> observer;
-  if (options.obs_level >= 1) {
-    SimulationObserver::Options obs_options;
-    obs_options.level = options.obs_level;
-    obs_options.trace_capacity = options.obs_trace_capacity;
-    obs_options.simulator = &simulator;
-    observer = std::make_unique<SimulationObserver>(&controller, &server,
-                                                    obs_options);
-  }
-
-  simulator.RunUntil(duration + options.drain);
-
-  SimulationResults results;
-  if (audit != nullptr) {
-    audit->Finish();
-    results.audit_checks = audit->auditor().checks_run();
-    results.audit_failures = audit->auditor().failures().size();
-  }
-  results.workload = workload_name;
-  results.scheme = SchemeName(options.memory) + "/" +
-                   PolicyKindName(options.policy);
-  CollectRunResults(&simulator, &controller, &server, &results);
-  if (observer != nullptr) {
-    observer->Finish();
-    results.metrics = observer->SnapshotMetrics();
-    if (observer->tracer() != nullptr) {
-      results.obs_events = observer->tracer()->size();
-      results.obs_dropped_events = observer->tracer()->dropped();
-      if (!options.obs_trace_path.empty()) {
-        const bool written = WriteChromeTraceFile(
-            *observer->tracer(), options.obs_trace_path.c_str());
-        DMASIM_CHECK_MSG(written, "failed to write observability trace");
-      }
-    }
+  Domain domain(options, miss_ratio, trace);
+  domain.simulator().RunUntil(duration + options.drain);
+  SimulationResults results = domain.Collect(workload_name);
+  // The file write stays here: a fleet's domains cannot share one path.
+  const SimulationObserver* observer = domain.observer();
+  if (!options.obs_trace_path.empty() && observer != nullptr &&
+      observer->tracer() != nullptr) {
+    const bool written = WriteChromeTraceFile(*observer->tracer(),
+                                              options.obs_trace_path.c_str());
+    DMASIM_CHECK_MSG(written, "failed to write observability trace");
   }
   return results;
 }

@@ -62,7 +62,7 @@ struct SimulationOptions {
   // 0 = off, 1 = end-of-run registry pass, 2 = + periodic passes and
   // transition-time validation.
   int audit_level = 0;
-  Tick audit_period = kMillisecond;  // Cadence of level-2 periodic passes.
+  Tick audit_period = kMillisecond;  // Level-2 pass cadence; must be > 0.
   // Abort on a violated invariant (false collects failures into
   // SimulationResults::audit_failures instead — used by tests).
   bool audit_abort = true;
@@ -154,13 +154,13 @@ std::string SchemeName(const MemorySystemConfig& config);
 
 // Fills the per-system metric block of `results` — duration, energy,
 // latencies, controller/server/monitor statistics, kernel counters —
-// from one simulated system's components. Shared by RunTrace and the
-// fleet driver (which calls it once per domain).
+// from one simulated system's components. Domain::Collect calls it once
+// per domain, for RunTrace and RunFleet alike.
 void CollectRunResults(Simulator* simulator, MemoryController* controller,
                        DataServer* server, SimulationResults* results);
 
 // Runs `trace` (with the given forced miss ratio, < 0 for cache-driven
-// misses) against `options` for `duration` + drain.
+// misses) on one Domain built from `options`, for `duration` + drain.
 SimulationResults RunTrace(const Trace& trace, double miss_ratio,
                            Tick duration, const SimulationOptions& options,
                            const std::string& workload_name);

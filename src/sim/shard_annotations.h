@@ -7,7 +7,7 @@
 // and is applied at the barrier in a sorted total order. These macros
 // make that discipline *visible in the declaration* so the ownership
 // rules of `tools/lint/dmasim_lint.py` can enforce it: every mutable
-// member of a type in their scope (`src/sim/`,
+// member of a type in their scope (`src/sim/`, `src/server/domain.*`,
 // `src/server/fleet_driver.*`) must carry exactly one of them.
 //
 //   DMASIM_SHARD_LOCAL   Owned by a single shard (equivalently: by the

@@ -204,5 +204,19 @@ TEST(SimulationAuditDeathTest, SeededFaultAbortsInAbortMode) {
                "power-state-legality");
 }
 
+// A level-2 periodic pass re-arms itself one period later, so a period
+// of zero would re-arm at the same tick forever and a negative one would
+// schedule into the past. Both are refused when the audit is built.
+TEST(SimulationAuditDeathTest, NonPositivePeriodIsRefusedAtLevelTwo) {
+  SimulationOptions options;
+  options.audit_level = 2;
+  for (Tick period : {Tick{0}, Tick{-1}}) {
+    options.audit_period = period;
+    EXPECT_DEATH(RunWorkload(ShortWorkload(2 * kMillisecond), options),
+                 "precondition violated")
+        << "period=" << period;
+  }
+}
+
 }  // namespace
 }  // namespace dmasim

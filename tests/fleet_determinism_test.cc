@@ -4,16 +4,23 @@
 // configuration. The golden-replay test additionally pins the exact
 // cross-shard delivery log, so a synchronization bug that merely
 // reorders shard-boundary events (without changing aggregate stats)
-// still fails loudly. (Suite names carry *Determinism* so the TSan CI
-// leg exercises the threaded paths under the race detector.)
+// still fails loudly. The pinned fleets anchor the fingerprint's bytes,
+// and the remote-fraction-0 oracle checks every domain against RunTrace.
+// (Suite names carry *Determinism* so the TSan CI leg exercises the
+// threaded paths under the race detector.)
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mon/scheme_parser.h"
 #include "server/fleet_driver.h"
+#include "server/simulation_driver.h"
+#include "stats/energy.h"
 #include "trace/workloads.h"
 
 namespace dmasim {
@@ -139,6 +146,126 @@ TEST(FleetDeterminismTest, DeliveryLogIsThreadCountInvariant) {
       }
     }
   }
+}
+
+// Byte-level anchors for the fleet, in the style of the single-domain
+// DeterminismTest.Pinned* suite. Each is checked at 1, 2 and 4 engine
+// threads, so a change that moves one thread count but not another fails
+// here as well as in the invariance tests above.
+FleetOptions PinnedFleet(Tick duration) {
+  FleetOptions options;
+  options.workload = OltpStorageSpec();
+  options.workload.duration = duration;
+  options.domains = 8;
+  return options;
+}
+
+TEST(FleetDeterminismTest, PinnedFleetFingerprintIsStable) {
+  // The fleet fingerprint ROADMAP.md cites: 8 OLTP-St domains, 5 ms,
+  // 2,048 streams per domain, every other option at its default. Five
+  // milliseconds is under the 20 ms layout interval, so this run
+  // covers the feeder, the remote-read path and the engine barriers.
+  FleetOptions options = PinnedFleet(5 * kMillisecond);
+  options.streams_per_domain = 2048;
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    options.sim_threads = threads;
+    const FleetResults results = RunFleet(options);
+    EXPECT_GT(results.remote_completed, 0u);
+#if defined(__GNUC__) && !defined(__clang__)
+    // Compiler-gated for the same reason as the pinned sweep checksum.
+    EXPECT_EQ(results.Fingerprint(), 4472253481026295100ULL);
+#endif
+  }
+}
+
+TEST(FleetDeterminismTest, PinnedFleetLayoutRoundsAreStable) {
+  // The fleet-oltp-st benchmark's shape: 8 OLTP-St domains for 200 ms
+  // (ten 20 ms layout rounds each) under DMA-TA-PL at mu 2.0, with the
+  // default 1,024 streams, 5% remote fraction and 20 us hop.
+  FleetOptions options = PinnedFleet(200 * kMillisecond);
+  options.base.memory.dma.ta.enabled = true;
+  options.base.memory.dma.ta.mu = 2.0;
+  options.base.memory.dma.pl.enabled = true;
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    options.sim_threads = threads;
+    const FleetResults results = RunFleet(options);
+    std::uint64_t migrations = 0;
+    for (const FleetDomainResults& domain : results.domains) {
+      migrations += domain.results.controller.migrations;
+    }
+    EXPECT_GT(migrations, 0u);
+#if defined(__GNUC__) && !defined(__clang__)
+    // Compiler-gated for the same reason as the pinned sweep checksum.
+    EXPECT_EQ(results.Fingerprint(), 3770320096954294772ULL);
+    EXPECT_EQ(migrations, 7362u);
+    EXPECT_EQ(results.engine.windows, 10308u);
+#endif
+  }
+}
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+// The remote-fraction-0 differential oracle. With no remote-homed
+// stream a fleet is N independent systems, so each domain must equal
+// RunTrace on that domain's own trace and options, bit for bit. This
+// checks the sharded engine against the single-system path, not against
+// the engine's own history. Returns the migrations the domains made.
+std::uint64_t ExpectDomainsMatchRunTrace(FleetOptions options) {
+  options.domains = 4;
+  options.sim_threads = 2;
+  options.remote_fraction = 0.0;
+  const FleetResults fleet = RunFleet(options);
+  EXPECT_EQ(fleet.domains.size(), 4u);
+  EXPECT_EQ(fleet.remote_sent, 0u);
+  std::uint64_t migrations = 0;
+  for (int i = 0; i < options.domains; ++i) {
+    SCOPED_TRACE("domain " + std::to_string(i));
+    const FleetDomainSpec spec = MakeFleetDomainSpec(options, i);
+    const SimulationResults solo =
+        RunTrace(GenerateWorkload(spec.workload), spec.workload.miss_ratio,
+                 spec.workload.duration, spec.options, spec.workload.name);
+    const SimulationResults& domain =
+        fleet.domains.at(static_cast<std::size_t>(i)).results;
+    EXPECT_GT(solo.executed_events, 0u);
+    for (int b = 0; b < kEnergyBucketCount; ++b) {
+      const auto bucket = static_cast<EnergyBucket>(b);
+      EXPECT_EQ(Bits(domain.energy.Of(bucket).joules()),
+                Bits(solo.energy.Of(bucket).joules()))
+          << "energy bucket " << EnergyBucketName(bucket);
+    }
+    EXPECT_EQ(domain.executed_events, solo.executed_events);
+    EXPECT_EQ(domain.stepped_events, solo.stepped_events);
+    EXPECT_EQ(domain.client_response.Count(), solo.client_response.Count());
+    EXPECT_EQ(Bits(domain.client_response.Sum()),
+              Bits(solo.client_response.Sum()));
+    EXPECT_EQ(Bits(domain.transfer_latency.Sum()),
+              Bits(solo.transfer_latency.Sum()));
+    EXPECT_EQ(domain.controller.migrations, solo.controller.migrations);
+    EXPECT_EQ(domain.duration, solo.duration);
+    migrations += solo.controller.migrations;
+  }
+  return migrations;
+}
+
+TEST(FleetDeterminismTest, RemoteFractionZeroDatabaseDomainsMatchRunTrace) {
+  // OLTP-Db baseline: the CPU-access path, 233 accesses per transfer.
+  FleetOptions options;
+  options.workload = OltpDatabaseSpec();
+  options.workload.duration = 10 * kMillisecond;
+  ExpectDomainsMatchRunTrace(options);
+}
+
+TEST(FleetDeterminismTest, RemoteFractionZeroLayoutDomainsMatchRunTrace) {
+  // OLTP-St under DMA-TA-PL at mu 2.0: gating and three layout rounds.
+  FleetOptions options;
+  options.workload = OltpStorageSpec();
+  options.workload.duration = 60 * kMillisecond;
+  options.base.memory.dma.ta.enabled = true;
+  options.base.memory.dma.ta.mu = 2.0;
+  options.base.memory.dma.pl.enabled = true;
+  EXPECT_GT(ExpectDomainsMatchRunTrace(options), 0u);
 }
 
 // "1 = serial" is the smallest team: a count below it is a caller bug,

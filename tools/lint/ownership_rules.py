@@ -7,7 +7,8 @@ touched only by the coordinator between windows, or written only while
 the engine is quiescent. The discipline is *declared* with the no-op
 annotation macros in src/sim/shard_annotations.h; these rules make the
 declaration mandatory and machine-checked over the engine's surface
-(src/sim plus src/server/fleet_driver.*):
+(ENGINE_SURFACE: src/sim plus src/server/domain.* and
+src/server/fleet_driver.*):
 
   unannotated-member      Every mutable data member of a class/struct in
                           scope carries DMASIM_SHARD_LOCAL,
@@ -40,9 +41,12 @@ from typing import List, NamedTuple, Set, Tuple
 RULES = ("unannotated-member", "barrier-only-in-window",
          "global-mutable-state")
 
-# Files whose state is reachable from ShardedEngine / RunFleet worker
-# context. Relative-path prefixes, POSIX separators.
-SCOPE_PREFIXES = ("src/sim/", "src/server/fleet_driver.")
+# The sharded engine's surface: files whose state is reachable from
+# ShardedEngine / RunFleet worker context (the fleet's workers run each
+# Domain's feeder). Relative-path prefixes, POSIX separators. The
+# nondeterminism-source rule (source_rules.py) shares this scope.
+ENGINE_SURFACE = ("src/sim/", "src/server/domain.",
+                  "src/server/fleet_driver.")
 
 ANNOTATIONS = ("DMASIM_SHARD_LOCAL", "DMASIM_BARRIER_ONLY",
                "DMASIM_SHARED_CONST")
@@ -194,7 +198,7 @@ def check_file(file, barrier_methods: Set[str]):
 
 
 def check(files):
-    in_scope = [file for file in files if file.under(SCOPE_PREFIXES)]
+    in_scope = [file for file in files if file.under(ENGINE_SURFACE)]
     barrier_methods = {match.group(1) for file in in_scope
                        for match in BARRIER_METHOD_RE.finditer(file.code)}
     for file in in_scope:

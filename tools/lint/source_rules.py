@@ -34,7 +34,7 @@
                       chrono::system_clock/steady_clock/high_resolution_
                       clock), rand(), or pointer-keyed map/set in the
                       hot-path directories or on the sharded engine's
-                      surface (src/sim plus src/server/fleet_driver.*,
+                      surface (ENGINE_SURFACE in ownership_rules.py,
                       whose state is reachable from worker threads):
                       anything that varies across runs (entropy, wall
                       time, ASLR-dependent pointer order) breaks the
@@ -50,13 +50,13 @@ from __future__ import annotations
 import pathlib
 import re
 
+from ownership_rules import ENGINE_SURFACE
+
 RULES = ("std-function", "heap-alloc", "unordered-iteration",
          "float-energy", "counter-narrowing", "float-compare",
          "nondeterminism-source", "header-guard")
 
 HOT_PATH_DIRS = ("src/sim/", "src/mem/", "src/io/", "src/core/", "src/mon/")
-# State reachable from ShardedEngine / RunFleet worker context.
-ENGINE_SURFACE = ("src/sim/", "src/server/fleet_driver.")
 
 STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\b")
 # A new-expression that is not placement new: `new Foo`, `new (std::nothrow)`

@@ -180,10 +180,12 @@ void MemoryChip::ServeRequest(ChipRequest&& request, bool retire_inline) {
   // or an Enqueue caller can schedule work earlier than the sampled
   // NextPendingTick() and find this chip's queue already retired. So the
   // caller grants `retire_inline` only where serving is the last thing
-  // its event does.
+  // its event does. Nor can it pass the bound of a sharded window: the
+  // barrier may deliver a request there that no pending event announces,
+  // so the horizon is QuietUntil(), not NextPendingTick().
   Tick issue = simulator_->Now();
   if (retire_inline && !request.on_complete && HasQueuedRequest()) {
-    const Tick horizon = simulator_->NextPendingTick();
+    const Tick horizon = simulator_->QuietUntil();
     std::uint64_t batched = 0;
     while (!request.on_complete && HasQueuedRequest()) {
       const Tick completion =

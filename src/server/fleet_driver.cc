@@ -15,9 +15,9 @@ namespace dmasim {
 
 namespace {
 
-// Cross-shard message kinds (ShardMessage::kind).
-constexpr std::uint32_t kRemoteReadMsg = 1;   // a=page, b=bytes, c=slot.
-constexpr std::uint32_t kRemoteReplyMsg = 2;  // c=slot at the requester.
+// The one cross-shard message kind (ShardMessage::kind): a remote client
+// read, a=page, b=bytes.
+constexpr std::uint32_t kRemoteReadMsg = 1;
 
 // Set up before the engine runs, read-only to every worker after.
 struct FleetShared {
@@ -47,6 +47,25 @@ int HomeOf(const FleetShared& shared, int domain, std::uint64_t position) {
   return (domain + 1 + static_cast<int>(peer)) % shared.domain_count;
 }
 
+// A client read in a member's trace whose stream is homed on `home`.
+// dmasim-lint: allow(unannotated-member) -- value type, stored in the
+// member's annotated remote_reads.
+struct RemoteRead {
+  std::uint64_t position = 0;
+  int home = 0;
+};
+
+// A peer's remote read that this member served. The reply would reach
+// the requester at `reply_at` (never while the read is still being
+// served); the requester sent the read at `sent_at`.
+// dmasim-lint: allow(unannotated-member) -- value type, stored in the
+// member's annotated served_reads.
+struct ServedRead {
+  Tick reply_at = Simulator::kNoPendingEvent;
+  Tick sent_at = 0;
+  int requester = 0;
+};
+
 // One fleet member: a Domain on its own engine shard, the workload and
 // options the domain borrows, and the member's side of the remote-read
 // traffic. Lives in a deque (Domain is neither copyable nor movable).
@@ -59,60 +78,63 @@ struct FleetMember final : RemoteReads {
         trace(GenerateWorkload(spec.workload)),
         domain(spec.options, spec.workload.miss_ratio, trace,
                shared_state->engine) {
-    if (shared->remote_threshold > 0) domain.set_remote_reads(this);
+    if (shared->remote_threshold == 0) return;
+    // A read's home depends only on its position, so one pass over the
+    // trace finds every read this member will forward.
+    for (std::uint64_t position = 0; position < trace.size(); ++position) {
+      if (trace[position].kind != TraceEventKind::kClientRead) continue;
+      const int home = HomeOf(*shared, index, position);
+      if (home != index) remote_reads.push_back(RemoteRead{position, home});
+    }
+    if (!remote_reads.empty()) domain.set_remote_reads(this);
   }
 
   // dmasim-lint: window-context
   bool Forward(const TraceRecord& record, std::uint64_t position) override {
-    const int home = HomeOf(*shared, index, position);
-    if (home == index) return false;
-    std::uint32_t slot;
-    if (!free_slots.empty()) {
-      slot = free_slots.back();
-      free_slots.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(slot_issue_time.size());
-      slot_issue_time.push_back(0);
+    if (next_remote == remote_reads.size() ||
+        remote_reads[next_remote].position != position) {
+      return false;
     }
-    const Tick now = domain.simulator().Now();
-    slot_issue_time[slot] = now;
-    ++remote_sent;
+    const int home = remote_reads[next_remote++].home;
     shared->engine->Send(
-        index, home, now + shared->remote_latency, kRemoteReadMsg, record.page,
+        index, home, domain.simulator().Now() + shared->remote_latency,
+        kRemoteReadMsg, record.page,
         static_cast<std::uint64_t>(static_cast<std::uint32_t>(record.bytes)),
-        slot);
+        0);
     return true;
   }
 
-  // Barrier-time delivery: turns a cross-shard message into an ordinary
-  // event in this member's kernel.
-  void Handle(const ShardMessage& message) {
-    if (message.kind == kRemoteReadMsg) {
-      const std::uint64_t page = message.a;
-      const std::int64_t bytes = static_cast<std::int64_t>(message.b);
-      // Reply route: requesting domain in the high word, its slot below.
-      const std::uint64_t route =
-          (static_cast<std::uint64_t>(message.src) << 32) | message.c;
-      domain.simulator().ScheduleAt(
-          message.deliver_at, [this, page, bytes, route]() {
-            ++remote_served;
-            domain.server().ClientRead(page, bytes, [this, route](Tick end) {
-              shared->engine->Send(index, static_cast<int>(route >> 32),
-                                   end + shared->remote_latency,
-                                   kRemoteReplyMsg, 0, 0,
-                                   route & 0xffffffffULL);
-            });
-          });
-      return;
+  // The engine's send bound: the feeder forwards each record at its own
+  // time, and forwarding is the only way a member sends, so no message
+  // can leave before the next remote-homed record's time plus the hop.
+  Tick SendBound() const {
+    if (next_remote == remote_reads.size()) {
+      return Simulator::kNoPendingEvent;
     }
-    DMASIM_CHECK_EQ(message.kind, kRemoteReplyMsg);
-    const std::uint32_t slot = static_cast<std::uint32_t>(message.c);
-    domain.simulator().ScheduleAt(message.deliver_at, [this, slot]() {
-      ++remote_completed;
-      remote_response.Add(static_cast<double>(domain.simulator().Now() -
-                                              slot_issue_time[slot]));
-      free_slots.push_back(slot);
-    });
+    return trace[remote_reads[next_remote].position].time +
+           shared->remote_latency;
+  }
+
+  // Barrier-time delivery: turns a peer's remote read into an ordinary
+  // event in this member's kernel. Its reply is bookkeeping, not a
+  // message: it would only bump the requester's counters, which no
+  // simulated hardware reads, so the read's reply time is recorded here
+  // and RunFleet credits the requester after the run.
+  void Handle(const ShardMessage& message) {
+    DMASIM_CHECK_EQ(message.kind, kRemoteReadMsg);
+    const std::uint64_t page = message.a;
+    const std::int64_t bytes = static_cast<std::int64_t>(message.b);
+    const int requester = static_cast<int>(message.src);
+    domain.simulator().ScheduleAt(
+        message.deliver_at, [this, page, bytes, requester]() {
+          const std::size_t read = served_reads.size();
+          served_reads.push_back(ServedRead{
+              Simulator::kNoPendingEvent,
+              domain.simulator().Now() - shared->remote_latency, requester});
+          domain.server().ClientRead(page, bytes, [this, read](Tick end) {
+            served_reads[read].reply_at = end + shared->remote_latency;
+          });
+        });
   }
 
   DMASIM_SHARED_CONST int index;
@@ -123,15 +145,13 @@ struct FleetMember final : RemoteReads {
   // during a window, by the coordinator at barriers (Handle).
   DMASIM_SHARD_LOCAL Domain domain;
 
-  // Outstanding remote reads this member issued: slot -> issue time.
-  // Slots recycle through the free list in deterministic order.
-  DMASIM_SHARD_LOCAL std::vector<Tick> slot_issue_time;
-  DMASIM_SHARD_LOCAL std::vector<std::uint32_t> free_slots;
-
-  DMASIM_SHARD_LOCAL std::uint64_t remote_sent = 0;
-  DMASIM_SHARD_LOCAL std::uint64_t remote_served = 0;
-  DMASIM_SHARD_LOCAL std::uint64_t remote_completed = 0;
-  DMASIM_SHARD_LOCAL RunningMean remote_response;
+  // This member's remote-homed client reads in trace order, found at
+  // construction, and the next one the feeder will reach: the reads
+  // before it are the ones it sent.
+  DMASIM_SHARED_CONST std::vector<RemoteRead> remote_reads;
+  DMASIM_SHARD_LOCAL std::size_t next_remote = 0;
+  // Peers' reads this member served, in arrival order.
+  DMASIM_SHARD_LOCAL std::vector<ServedRead> served_reads;
 };
 
 std::uint64_t Bits(double value) {
@@ -223,10 +243,10 @@ FleetResults RunFleet(const FleetOptions& options) {
   std::deque<FleetMember> members;
   for (int i = 0; i < options.domains; ++i) {
     FleetMember* member = &members.emplace_back(options, i, &shared);
-    engine.AddShard(&member->domain.simulator(),
-                    [member](const ShardMessage& message) {
-                      member->Handle(message);
-                    });
+    engine.AddShard(
+        &member->domain.simulator(),
+        [member](const ShardMessage& message) { member->Handle(message); },
+        [member]() { return member->SendBound(); });
   }
 
   const Tick end = options.workload.duration + options.base.drain;
@@ -242,11 +262,23 @@ FleetResults RunFleet(const FleetOptions& options) {
   for (FleetMember& member : members) {
     FleetDomainResults& summary = fleet.domains.emplace_back();
     summary.results = member.domain.Collect(options.workload.name);
-    summary.remote_sent = member.remote_sent;
-    summary.remote_served = member.remote_served;
-    summary.remote_completed = member.remote_completed;
-    summary.remote_response = member.remote_response;
-
+    summary.remote_sent = member.next_remote;
+    summary.remote_served = member.served_reads.size();
+  }
+  // Each requester gets the replies that reach it by `end`, one hop after
+  // their reads were served. Response times are whole ticks, so their
+  // sums are exact in any order (below 2^53 ticks).
+  for (const FleetMember& member : members) {
+    for (const ServedRead& read : member.served_reads) {
+      if (read.reply_at > end) continue;
+      FleetDomainResults& requester =
+          fleet.domains[static_cast<std::size_t>(read.requester)];
+      ++requester.remote_completed;
+      requester.remote_response.Add(
+          static_cast<double>(read.reply_at - read.sent_at));
+    }
+  }
+  for (const FleetDomainResults& summary : fleet.domains) {
     fleet.energy += summary.results.energy;
     fleet.client_response.Merge(summary.results.client_response);
     fleet.remote_response.Merge(summary.remote_response);

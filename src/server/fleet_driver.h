@@ -8,10 +8,14 @@
 // of its trace position), and a configurable fraction of streams are
 // homed on a peer domain. A remote-homed read is forwarded over the
 // fleet interconnect (one `remote_latency` hop each way) as a
-// cross-shard message, served by the peer's data server, and its reply
-// carries the completion time back to the requester. `remote_latency`
-// is therefore the engine's conservative lookahead: no cross-domain
-// effect can propagate faster than one hop.
+// cross-shard message and served by the peer's data server; its reply
+// changes nothing the requester simulates, so it is not a message but a
+// record, credited to the requester's remote-read counters after the
+// run. No cross-domain effect propagates faster than one hop, and a
+// domain sends only when its feeder reaches a remote-homed read — a
+// position known before the run — so each domain declares the engine
+// send bound "next remote-homed read's time + remote_latency". With no
+// remote-homed read left anywhere, the rest of the run is one window.
 //
 // Determinism: RunFleet with the same options produces bit-identical
 // results for every `sim_threads` value — the engine's windows, the
@@ -55,8 +59,9 @@ struct FleetOptions {
   // Client streams per domain; requests hash onto streams, and a
   // stream's home (local or which peer) is a stable function of its id.
   DMASIM_SHARED_CONST std::uint64_t streams_per_domain = 1024;
-  // One-way fleet-interconnect hop. Doubles as the engine lookahead, so
-  // it must be positive when `domains` > 1.
+  // One-way fleet-interconnect hop: how far past a remote-homed read's
+  // time a domain's send bound lies. Must be positive when `domains` > 1
+  // (it is also the engine's lookahead).
   DMASIM_SHARED_CONST Tick remote_latency = 20 * kMicrosecond;
 
   // Engine knobs (see ShardedEngine::Options).
@@ -89,7 +94,8 @@ struct FleetDomainResults {
   DMASIM_BARRIER_ONLY SimulationResults results;
   DMASIM_BARRIER_ONLY std::uint64_t remote_sent = 0;   // Forwarded to a peer.
   DMASIM_BARRIER_ONLY std::uint64_t remote_served = 0;  // Peer reads served.
-  DMASIM_BARRIER_ONLY std::uint64_t remote_completed = 0;  // Replies back.
+  // Replies back by the end of the run.
+  DMASIM_BARRIER_ONLY std::uint64_t remote_completed = 0;
   // End-to-end remote read, ticks.
   DMASIM_BARRIER_ONLY RunningMean remote_response;
 };

@@ -163,11 +163,13 @@ ShardedEngine::ShardedEngine(const Options& options) : options_(options) {
   fuzz_state_ = SplitMix64(seed_state);
 }
 
-int ShardedEngine::AddShard(Simulator* simulator, MessageHandler handler) {
+int ShardedEngine::AddShard(Simulator* simulator, MessageHandler handler,
+                            SendBound send_bound) {
   DMASIM_EXPECTS(simulator != nullptr);
   DMASIM_EXPECTS(handler);
   DMASIM_EXPECTS(!running_);
-  shards_.emplace_back(simulator, handler, options_.mailbox_capacity);
+  shards_.emplace_back(simulator, handler, send_bound,
+                       options_.mailbox_capacity);
   return static_cast<int>(shards_.size()) - 1;
 }
 
@@ -177,11 +179,14 @@ void ShardedEngine::Send(int src, int dst, Tick deliver_at,
   DMASIM_EXPECTS(src >= 0 && src < shard_count());
   DMASIM_EXPECTS(dst >= 0 && dst < shard_count());
   DMASIM_EXPECTS(src != dst);
+  Shard& shard = shards_[static_cast<std::size_t>(src)];
   // The conservative-synchronization invariant: nothing may be addressed
   // into a window any shard could already have executed past. During a
   // window `current_horizon_` is the horizon; violating this would be a
-  // missing-latency bug in the caller, so it is a hard check.
-  DMASIM_CHECK_GE(deliver_at, current_horizon_);
+  // missing-latency bug in the caller, so it is a hard check. Holding the
+  // shard to its own declared bound too makes a wrong bound fail here
+  // even when another shard's bound set the horizon.
+  DMASIM_CHECK_GE(deliver_at, std::max(current_horizon_, shard.send_floor));
   if (options_.fault == EngineFault::kDeliverEarly && src == 0 &&
       running_ && !fault_fired_ && current_horizon_ > 0) {
     // Seeded violation: address shard 0's first send one tick inside the
@@ -190,7 +195,6 @@ void ShardedEngine::Send(int src, int dst, Tick deliver_at,
     fault_fired_ = true;
     deliver_at = current_horizon_ - 1;
   }
-  Shard& shard = shards_[static_cast<std::size_t>(src)];
   ShardMessage message;
   message.deliver_at = deliver_at;
   message.send_seq = shard.next_send_seq++;
@@ -295,23 +299,29 @@ void ShardedEngine::Run(Tick until, int threads) {
                   [this, members](int member) { RunShare(member, members); });
   window_order_.resize(static_cast<std::size_t>(n));
 
+  const Tick reach = Simulator::kNoPendingEvent - options_.lookahead;
   while (true) {
+    // Horizon: the earliest deliver_at any shard can still send, clipped
+    // to the run bound (events at exactly `until` still execute: bound
+    // + 1). A lone shard has nobody to send to.
     Tick min_next = Simulator::kNoPendingEvent;
-    for (const Shard& shard : shards_) {
-      min_next = std::min(min_next, shard.simulator->NextPendingTick());
+    Tick horizon = until + 1;
+    for (Shard& shard : shards_) {
+      const Tick next = shard.simulator->NextPendingTick();
+      min_next = std::min(min_next, next);
+      Tick bound = Simulator::kNoPendingEvent;
+      if (shard.send_bound) {
+        bound = shard.send_floor = shard.send_bound();
+      } else if (next <= reach) {
+        bound = next + options_.lookahead;
+      }
+      if (n > 1) horizon = std::min(horizon, bound);
     }
     if (min_next == Simulator::kNoPendingEvent || min_next > until) break;
-
-    // Horizon: one lookahead past the global minimum, clipped to the run
-    // bound (events at exactly `until` still execute: bound + 1).
-    Tick horizon = until + 1;
-    if (n > 1) {
-      const Tick max_tick = std::numeric_limits<Tick>::max();
-      const Tick reach = max_tick - options_.lookahead;
-      const Tick by_lookahead =
-          min_next <= reach ? min_next + options_.lookahead : max_tick;
-      horizon = std::min(horizon, by_lookahead);
-    }
+    // No message can arrive at the earliest pending event itself, so a
+    // bound at or before it is a broken callback (and a window that
+    // would execute nothing).
+    DMASIM_CHECK_GT(horizon, min_next);
     const std::uint64_t window = stats_.windows;
     current_horizon_ = horizon;
     current_window_ = window;

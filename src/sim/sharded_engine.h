@@ -2,13 +2,15 @@
 //
 // One simulation is split into shards — one per memory-controller domain,
 // each owning its chips, buses, and clients around a private `Simulator`
-// — that advance in conservative-lookahead windows:
+// — that advance in conservative windows:
 //
-//   1. The coordinator computes the global minimum pending event time
-//      across all shards, `t_min`, and a horizon `H = t_min + L` where
-//      `L` is the minimum cross-shard latency (bus transfer + controller
-//      dispatch; the fleet driver derives it from the remote-hop
-//      latency).
+//   1. At each barrier the coordinator asks every shard for the earliest
+//      `deliver_at` of any message it can still send. A shard that
+//      declared a send bound (AddShard) answers from its own state; any
+//      other shard answers `t_next + L`, its earliest pending event plus
+//      the lookahead `L`, the minimum cross-shard latency. The horizon
+//      `H` is the minimum answer, clipped to the run bound
+//      (Chandy–Misra–Bryant lookahead).
 //   2. Every shard independently — and, with a worker team, in parallel
 //      — executes all of its events with timestamp < H.
 //   3. At the window barrier, cross-shard messages produced during the
@@ -17,14 +19,21 @@
 //      handed to the destination shards' handlers, which schedule them
 //      as ordinary events.
 //
-// Safety: any message sent by an event executing at time t carries
-// deliver_at >= t + L >= t_min + L = H, so no shard can have advanced
-// past a delivery time — conservative synchronization needs no rollback.
+// Safety: every message a shard sends during the window carries
+// deliver_at >= its answer >= H — Send checks both — so no shard can
+// have advanced past a delivery time, and conservative synchronization
+// needs no rollback. A bound is only as good as its callback, which is
+// why the check is a hard one: a shard whose bound promises too much
+// dies in Send instead of corrupting a run.
 // Determinism: the window sequence is a pure function of shard states at
-// barriers, every shard's intra-window execution keeps the kernel's
-// exact (time, seq) order, and barrier delivery order is sorted on a
-// total key — so an N-thread run is bit-identical to a 1-thread run of
-// the same shard set, which is what the pinned-checksum suites assert.
+// barriers (the answers are computed from them), every shard's
+// intra-window execution keeps the kernel's exact (time, seq) order, and
+// barrier delivery order is sorted on a total key — so an N-thread run is
+// bit-identical to a 1-thread run of the same shard set, which is what
+// the pinned-checksum suites assert. Where the barriers fall is not part
+// of a shard's simulated outcome: the kernel keeps its inline fast paths
+// short of the window bound (Simulator::QuietUntil), so the same events
+// delivered through wider or narrower windows give the same results.
 //
 // That contract is machine-checked three ways (DESIGN.md §15): the
 // `dmasim_lint` ownership rules enforce the annotations below, a
@@ -51,7 +60,7 @@ namespace dmasim {
 
 // One cross-shard event. The engine routes and orders it; the meaning of
 // `kind` and the payload words belongs to the shard handlers (the fleet
-// driver uses them for remote client requests and their replies).
+// driver uses them for remote client requests).
 // dmasim-lint: allow(unannotated-member) -- POD message value, owned by
 // whichever side currently holds the copy.
 struct ShardMessage {
@@ -120,13 +129,22 @@ class ShardedEngine {
   // the deterministic delivery order) and typically schedules an event
   // into the destination shard's simulator at `message.deliver_at`.
   using MessageHandler = TrivialCallback<void(const ShardMessage&), 24>;
+  // Send bound: runs at every barrier (on the coordinator, after the
+  // barrier's deliveries) and returns, from the shard's own state, the
+  // earliest deliver_at of any message the shard can still send —
+  // Simulator::kNoPendingEvent for none. It must hold for every message
+  // the shard sends before the next barrier, including sends that events
+  // delivered at this barrier cause.
+  using SendBound = TrivialCallback<Tick(), 16>;
 
   // dmasim-lint: allow(unannotated-member) -- value type; the engine's
   // copy is the annotated options_ member.
   struct Options {
-    // Conservative lookahead L: the minimum cross-shard latency. Every
-    // Send's deliver_at must be >= the current window horizon, which
-    // Send enforces. Required > 0 when more than one shard runs.
+    // Conservative lookahead L: the minimum cross-shard latency, and the
+    // send bound of every shard that declares none (its next pending
+    // event plus L). Every Send's deliver_at must be >= the current
+    // window horizon, which Send enforces. Required > 0 when more than
+    // one shard runs.
     Tick lookahead = 0;
     // Per-shard outbox ring capacity; overflow spills (counted, never
     // dropped or reordered).
@@ -171,14 +189,18 @@ class ShardedEngine {
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   // Registers a shard (its simulator outlives the engine) and returns
-  // the shard index. All shards must be added before Run.
+  // the shard index. All shards must be added before Run. Without a
+  // `send_bound` the shard's bound is its next pending event plus the
+  // lookahead.
   DMASIM_BARRIER_ONLY int AddShard(Simulator* simulator,
-                                   MessageHandler handler);
+                                   MessageHandler handler,
+                                   SendBound send_bound = {});
 
   // Sends a cross-shard message. Called only from the shard `src`'s
   // worker during its window (or between windows on the coordinator).
-  // `deliver_at` must respect the lookahead — at or past the current
-  // window horizon — which is checked, not assumed.
+  // `deliver_at` must be at or past the current window horizon and at or
+  // past the bound `src` declared at the last barrier — checked, not
+  // assumed.
   void Send(int src, int dst, Tick deliver_at, std::uint32_t kind,
             std::uint64_t a, std::uint64_t b, std::uint64_t c);
 
@@ -210,14 +232,22 @@ class ShardedEngine {
 
  private:
   struct Shard {
-    explicit Shard(Simulator* sim, MessageHandler h,
+    explicit Shard(Simulator* sim, MessageHandler h, SendBound bound,
                    std::size_t mailbox_capacity)
-        : simulator(sim), handler(h), outbox(mailbox_capacity) {}
+        : simulator(sim),
+          handler(h),
+          send_bound(bound),
+          outbox(mailbox_capacity) {}
     // The shard's private event kernel; only its own worker touches it
     // during a window.
     DMASIM_SHARD_LOCAL Simulator* simulator;
     // Invoked only at the barrier, in delivery order.
     DMASIM_BARRIER_ONLY MessageHandler handler;
+    // Invoked only at the barrier; empty for the lookahead rule.
+    DMASIM_BARRIER_ONLY SendBound send_bound;
+    // The bound send_bound declared for the current window (0 without
+    // one), which Send holds the shard to.
+    DMASIM_SHARED_CONST Tick send_floor = 0;
     // SPSC: Push is the worker (producer) side; Drain runs at the
     // barrier (consumer side, annotated on the method).
     DMASIM_SHARD_LOCAL SpscMailbox<ShardMessage> outbox;

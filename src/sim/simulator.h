@@ -120,11 +120,13 @@ class Simulator {
   // at the horizon still satisfy ScheduleAt's `when >= Now()` contract.
   // Returns the number of events executed.
   std::uint64_t RunEventsBefore(Tick bound) {
+    run_bound_ = bound;
     std::uint64_t ran = 0;
     while (EnsureServing() && serving_[serving_pos_].when < bound) {
       Step();
       ++ran;
     }
+    run_bound_ = kNoPendingEvent;
     return ran;
   }
 
@@ -138,6 +140,14 @@ class Simulator {
     if (!EnsureServing()) return kNoPendingEvent;
     return serving_[serving_pos_].when;
   }
+
+  // The tick before which nothing but the running event can act on this
+  // kernel: the earliest pending event or, inside RunEventsBefore, the
+  // call's bound, whichever comes first. From the bound on, the sharded
+  // engine's barrier may schedule cross-shard deliveries that no pending
+  // event announces. A fast path that resolves future work inline and
+  // cannot be undone (chip inline retirement) stops strictly before it.
+  Tick QuietUntil() { return std::min(NextPendingTick(), run_bound_); }
 
   // Number of events not yet executed.
   std::size_t PendingEvents() const { return size_; }
@@ -476,6 +486,9 @@ class Simulator {
 
   // Sequence of the last popped event, for the pop-order check in Step().
   DMASIM_SHARD_LOCAL std::uint64_t last_sequence_ = 0;
+  // The bound of the RunEventsBefore call in progress; kNoPendingEvent
+  // outside one.
+  DMASIM_SHARD_LOCAL Tick run_bound_ = kNoPendingEvent;
 };
 
 }  // namespace dmasim

@@ -1,12 +1,18 @@
 // Tests for the memory chip power-state machine and energy accounting.
 #include "mem/memory_chip.h"
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mem/chip_power_model.h"
 #include "mem/power_model.h"
 #include "mem/power_policy.h"
 #include "sim/simulator.h"
+#include "stats/energy.h"
 #include "util/random.h"
 
 namespace dmasim {
@@ -166,6 +172,70 @@ TEST_F(ChipFixture, InlineRetirementKeepsDmaPriorityOverMigration) {
   EXPECT_EQ(second_done, 480 * kNanosecond);
   EXPECT_EQ(chip.stats().migration_requests, 8u);
   EXPECT_EQ(chip.stats().dma_requests, 2u);
+}
+
+// What one run of InlineRetirementStopsAtTheWindowBound observed.
+struct RetirementOutcome {
+  Tick dma_done = -1;
+  std::vector<std::uint64_t> energy_bits;
+  ChipStats stats;
+};
+
+TEST_F(ChipFixture, InlineRetirementStopsAtTheWindowBound) {
+  // Nine 512 B migration copies (160 ns each) queue on an idle chip, and
+  // a 512 B DMA request arrives at 400 ns. Event by event: copy 1
+  // [0, 160), copy 2 [160, 320), copy 3 [320, 480), then the DMA request
+  // outranks the six copies left and is served [480, 640). A sharded
+  // window that ends at H <= 400 ns learns of the request only at its
+  // barrier, after the copies' chain was retired up to the horizon the
+  // chip sampled; retiring past H would put the request behind all nine.
+  const Tick arrival = 400 * kNanosecond;
+  const auto run = [this, arrival](Tick window_bound) {
+    Simulator simulator;
+    MemoryChip chip(&simulator, &chip_model_, &active_policy_, 0);
+    RetirementOutcome outcome;
+    const auto dma_arrives = [&chip, &outcome]() {
+      chip.Enqueue(ChipRequest{
+          RequestKind::kDma, ByteCount(512),
+          [&outcome](Tick done) { outcome.dma_done = done; }});
+    };
+    for (int i = 0; i < 9; ++i) {
+      chip.Enqueue(ChipRequest{RequestKind::kMigration, ByteCount(512), {}});
+    }
+    if (window_bound > 0) {
+      // The barrier's order: run the window, then deliver the request.
+      simulator.RunEventsBefore(window_bound);
+    }
+    simulator.ScheduleAt(arrival, dma_arrives);
+    simulator.Run();
+    chip.SyncAccounting();
+    for (int b = 0; b < kEnergyBucketCount; ++b) {
+      outcome.energy_bits.push_back(std::bit_cast<std::uint64_t>(
+          chip.energy().Of(static_cast<EnergyBucket>(b)).joules()));
+    }
+    outcome.stats = chip.stats();
+    return outcome;
+  };
+
+  const RetirementOutcome up_front = run(/*window_bound=*/0);
+  EXPECT_EQ(up_front.dma_done, 640 * kNanosecond);
+  for (const Tick bound : {300 * kNanosecond, arrival}) {
+    SCOPED_TRACE("window bound " + std::to_string(bound));
+    const RetirementOutcome delivered = run(bound);
+    EXPECT_EQ(delivered.dma_done, up_front.dma_done);
+    EXPECT_EQ(delivered.energy_bits, up_front.energy_bits);
+    EXPECT_EQ(delivered.stats.dma_serving, up_front.stats.dma_serving);
+    EXPECT_EQ(delivered.stats.migration_serving,
+              up_front.stats.migration_serving);
+    EXPECT_EQ(delivered.stats.active_idle_dma,
+              up_front.stats.active_idle_dma);
+    EXPECT_EQ(delivered.stats.active_idle_threshold,
+              up_front.stats.active_idle_threshold);
+    EXPECT_EQ(delivered.stats.transition, up_front.stats.transition);
+    EXPECT_EQ(delivered.stats.wakeups, up_front.stats.wakeups);
+    EXPECT_EQ(delivered.stats.dma_requests, 1u);
+    EXPECT_EQ(delivered.stats.migration_requests, 9u);
+  }
 }
 
 TEST_F(ChipFixture, PriorityAndFifoHoldAcrossQueueGrowth) {

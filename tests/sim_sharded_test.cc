@@ -9,6 +9,7 @@
 #include <deque>
 #include <filesystem>
 #include <limits>
+#include <string>
 #include <system_error>
 #include <vector>
 
@@ -646,6 +647,150 @@ TEST(ShardedEngineFuzzTest, SeedPerturbsScheduleWhenBarrierSortIsSkipped) {
   EXPECT_TRUE(diverged);
 }
 
+// --- Declared send bounds -----------------------------------------------
+
+// Records every window's horizon.
+class HorizonLog : public BarrierHooks {
+ public:
+  void OnWindowStart(std::uint64_t window, Tick horizon) override {
+    (void)window;
+    horizons.push_back(horizon);
+  }
+  std::vector<Tick> horizons;
+};
+
+// Without a declared bound a shard keeps the lookahead rule: its bound is
+// its next pending event plus L, and the horizon is the smallest bound.
+TEST(ShardedEngineTest, ShardsWithoutABoundKeepTheLookaheadHorizon) {
+  for (const bool shard1_declares : {false, true}) {
+    SCOPED_TRACE(shard1_declares ? "shard 1 declares never"
+                                 : "no shard declares");
+    ShardedEngine::Options options;
+    options.lookahead = 50;
+    HorizonLog hooks;
+    options.hooks = &hooks;
+    ShardedEngine engine(options);
+    std::deque<Simulator> sims(2);
+    engine.AddShard(&sims[0], [](const ShardMessage&) {});
+    ShardedEngine::SendBound never;
+    if (shard1_declares) {
+      never = []() { return Simulator::kNoPendingEvent; };
+    }
+    engine.AddShard(&sims[1], [](const ShardMessage&) {}, never);
+    for (const Tick at : {10, 30, 200}) sims[0].ScheduleAt(at, []() {});
+    sims[1].ScheduleAt(75, []() {});
+    engine.Run(1000, /*threads=*/1);
+
+    // min_next + L: 10 + 50, then 75 + 50, then 200 + 50. A shard that
+    // declares it never sends leaves only shard 0's bounds.
+    const std::vector<Tick> want =
+        shard1_declares ? std::vector<Tick>{60, 250}
+                        : std::vector<Tick>{60, 125, 250};
+    EXPECT_EQ(hooks.horizons, want);
+    EXPECT_EQ(sims[1].ExecutedEvents(), 1u);
+  }
+}
+
+// Scheduled senders: every shard ticks locally every 10 ticks and sends
+// to its successor at fixed times known in advance, so it can declare its
+// exact send bound. Local ticks fall on even ticks and deliveries, one
+// odd lookahead later, on odd ones, so no delivery ties with a local
+// event and the per-shard logs cannot depend on where barriers fall.
+constexpr int kSenderShards = 4;
+constexpr Tick kSenderLookahead = 51;
+constexpr Tick kSenderUntil = 20'000;
+
+struct Sender {
+  std::vector<Tick> send_times;
+  std::size_t next_send = 0;
+};
+
+struct SenderOutcome {
+  std::vector<std::vector<HopLog>> logs;
+  std::vector<std::uint64_t> digests;
+  std::uint64_t windows = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t sends = 0;
+};
+
+SenderOutcome RunScheduledSenders(bool declare_bounds, int threads) {
+  ShardedEngine::Options options;
+  options.lookahead = kSenderLookahead;
+  options.record_window_digests = true;
+  ShardedEngine engine(options);
+  std::deque<Simulator> sims(kSenderShards);
+  std::deque<Sender> senders(kSenderShards);
+  SenderOutcome outcome;
+  outcome.logs.resize(kSenderShards);
+  for (int s = 0; s < kSenderShards; ++s) {
+    Simulator* sim = &sims[static_cast<std::size_t>(s)];
+    Sender* sender = &senders[static_cast<std::size_t>(s)];
+    std::vector<HopLog>* log = &outcome.logs[static_cast<std::size_t>(s)];
+    for (Tick at = 2 * s; at < kSenderUntil; at += 10) {
+      sim->ScheduleAt(at, [sim, log, s]() {
+        log->push_back(HopLog{s, 0, sim->Now()});
+      });
+    }
+    for (Tick at = 100 + 2 * s; at < kSenderUntil; at += 700 + 200 * s) {
+      sender->send_times.push_back(at);
+      sim->ScheduleAt(at, [&engine, sim, sender, s]() {
+        const std::uint64_t tag = ++sender->next_send;
+        engine.Send(s, (s + 1) % kSenderShards, sim->Now() + kSenderLookahead,
+                    /*kind=*/1, tag, 0, 0);
+      });
+    }
+    outcome.sends += sender->send_times.size();
+    ShardedEngine::SendBound bound;
+    if (declare_bounds) {
+      bound = [sender]() {
+        return sender->next_send < sender->send_times.size()
+                   ? sender->send_times[sender->next_send] + kSenderLookahead
+                   : Simulator::kNoPendingEvent;
+      };
+    }
+    engine.AddShard(
+        sim,
+        [sim, log](const ShardMessage& message) {
+          const int dst = static_cast<int>(message.dst);
+          const std::uint64_t tag = message.a;
+          sim->ScheduleAt(message.deliver_at, [sim, log, dst, tag]() {
+            log->push_back(HopLog{dst, tag, sim->Now()});
+          });
+        },
+        bound);
+  }
+  engine.Run(kSenderUntil, threads);
+  outcome.digests = engine.window_digests();
+  outcome.windows = engine.stats().windows;
+  outcome.delivered = engine.stats().delivered_messages;
+  return outcome;
+}
+
+// (Named *Determinism* so the TSan CI leg picks it up.)
+TEST(ShardedEngineDeterminismTest, DeclaredSendBoundsOpenFewerWindows) {
+  const SenderOutcome by_lookahead =
+      RunScheduledSenders(/*declare_bounds=*/false, /*threads=*/1);
+  const SenderOutcome bounded =
+      RunScheduledSenders(/*declare_bounds=*/true, /*threads=*/1);
+  // A window per send at most (plus the last one), against one per
+  // lookahead: some shard always has a local tick within L.
+  EXPECT_LE(bounded.windows, bounded.sends + 1);
+  EXPECT_LT(2 * bounded.windows, by_lookahead.windows);
+  // Wider windows, same simulation.
+  EXPECT_EQ(bounded.delivered, bounded.sends);
+  EXPECT_EQ(bounded.delivered, by_lookahead.delivered);
+  EXPECT_EQ(bounded.logs, by_lookahead.logs);
+
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const SenderOutcome team =
+        RunScheduledSenders(/*declare_bounds=*/true, threads);
+    EXPECT_EQ(team.windows, bounded.windows);
+    EXPECT_EQ(team.logs, bounded.logs);
+    EXPECT_EQ(team.digests, bounded.digests);
+  }
+}
+
 // --- Barrier stress ------------------------------------------------------
 //
 // Ring traffic over many short windows: every shard starts one token;
@@ -790,6 +935,30 @@ TEST(ShardedEngineDeathTest, SendBelowTheHorizonIsRefused) {
           // deliver_at == now < horizon: the conservative-lookahead
           // contract is violated and the engine must refuse.
           engine.Send(0, 1, sims[0].Now(), 1, 0, 0, 0);
+        });
+        sims[1].ScheduleAt(10, []() {});
+        engine.Run(1000, /*threads=*/1);
+      },
+      "check failed");
+}
+
+TEST(ShardedEngineDeathTest, SendBelowItsOwnBoundIsRefused) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ShardedEngine::Options options;
+        options.lookahead = 50;
+        ShardedEngine engine(options);
+        std::deque<Simulator> sims(2);
+        // Shard 0 promises to send nothing before 500; shard 1 keeps the
+        // lookahead rule, so its event at 10 sets the horizon to 60.
+        engine.AddShard(&sims[0], [](const ShardMessage&) {},
+                        []() -> Tick { return 500; });
+        engine.AddShard(&sims[1], [](const ShardMessage&) {});
+        sims[0].ScheduleAt(10, [&engine, &sims]() {
+          // deliver_at 60 clears the horizon but breaks shard 0's own
+          // promise: the engine must refuse it all the same.
+          engine.Send(0, 1, sims[0].Now() + 50, 1, 0, 0, 0);
         });
         sims[1].ScheduleAt(10, []() {});
         engine.Run(1000, /*threads=*/1);

@@ -15,7 +15,7 @@
 #include "bench_util.h"
 #include "exp/result_sink.h"
 #include "exp/sweep_runner.h"
-#include "exp/thread_pool.h"
+#include "util/thread_pool.h"
 
 int main() {
   using namespace dmasim;

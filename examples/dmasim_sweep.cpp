@@ -21,10 +21,10 @@
 
 #include "exp/result_sink.h"
 #include "exp/sweep_runner.h"
-#include "exp/thread_pool.h"
 #include "mon/scheme_parser.h"
 #include "trace/workloads.h"
 #include "util/cli_flags.h"
+#include "util/thread_pool.h"
 
 namespace {
 

@@ -1,11 +1,12 @@
-// fleet_scenario — a production-scale fleet on the sharded kernel.
+// fleet_scenario — a production-scale fleet of memory-controller domains.
 //
 // Simulates many memory-controller domains (default 32 domains x 32
 // chips = 1024 chips, 32768 client streams each = ~1M streams) with a
-// fraction of streams homed on remote domains, and executes the whole
-// fleet with the conservative-lookahead sharded engine. The run is
-// bit-identical for every --sim-threads value; the printed fingerprint
-// is the proof the determinism suite pins.
+// fraction of streams homed on remote domains. The remote reads are
+// routed into their homes' traces before the run, and the sharded engine
+// runs the domains as one window. The run is bit-identical for every
+// --sim-threads value; the printed fingerprint is the proof the
+// determinism suite pins.
 //
 // Examples:
 //   fleet_scenario --sim-threads 8
@@ -34,8 +35,7 @@ namespace {
 using namespace dmasim;
 
 // Flag domains besides the shared ones in util/cli_flags.h. The remote
-// hop is also the engine lookahead: at least one nanosecond, at most one
-// simulated hour.
+// hop is at least one nanosecond and at most one simulated hour.
 constexpr int kMaxDomains = 4096;
 constexpr double kMinRemoteLatencyUs = 1e-3;
 constexpr double kMaxRemoteLatencyUs = 3.6e9;
@@ -50,9 +50,10 @@ void PrintUsage() {
       R"(Usage: fleet_scenario [options]
   --domains N          memory-controller domains / engine shards,
                        1..4096 (default: 32)
-  --sim-threads N      engine threads, 1..1024 (default: 1 = serial);
-                       a run uses at most one per domain and per host
-                       core; results are bit-identical for any value
+  --sim-threads N      threads for trace generation and the run,
+                       1..1024 (default: 1 = serial); a run uses at most
+                       one per domain and per host core; results are
+                       bit-identical for any value
   --duration-ms N      simulated milliseconds, 1e-6..3.6e6 (default: 20)
   --workload NAME      per-domain workload: oltp-st, synth-st, oltp-db,
                        synth-db, dss (default: oltp-st)
@@ -60,16 +61,16 @@ void PrintUsage() {
   --streams N          client streams per domain, >= 1 (default: 32768)
   --remote-fraction F  fraction of streams homed remotely, 0..1
                        (default: 0.05)
-  --remote-latency-us N  one-way fleet hop, also the engine lookahead,
-                       1e-3..3.6e9 (default: 20)
+  --remote-latency-us N  one-way fleet hop: a remote read reaches its
+                       home this long after its trace time, 1e-3..3.6e9
+                       (default: 20)
   --seed N             unsigned 64-bit workload seed (default: preset)
   --fingerprint-only   print only the run fingerprint (for scripting)
 
-Determinism proof kit (DESIGN.md section 15):
+Determinism proof kit (DESIGN.md section 15). The fleet runs as one
+engine window, so a run records one digest:
   --sched-fuzz-seed N  perturb worker scheduling from unsigned 64-bit
                        seed N (the run must stay bit-identical to seed 0)
-  --engine-fault NAME  seeded protocol violation: none, skip-barrier-sort,
-                       deliver-early (CI divergence checks only)
   --window-digests FILE
                        record one digest per engine window and write them
                        to FILE (one hex value per line)
@@ -195,11 +196,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--sched-fuzz-seed") {
       options.sched_fuzz_seed =
           kFlags.Integer(arg, next(), std::uint64_t{0}, kMaxU64);
-    } else if (arg == "--engine-fault") {
-      const std::string name = next();
-      if (!ParseEngineFault(name, &options.engine_fault)) {
-        Fail("unknown engine fault '" + name + "'");
-      }
     } else if (arg == "--window-digests") {
       digests_out_path = next();
       options.record_window_digests = true;

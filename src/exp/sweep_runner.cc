@@ -4,8 +4,8 @@
 #include <exception>
 #include <utility>
 
-#include "exp/thread_pool.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace dmasim {
 namespace {

@@ -53,7 +53,7 @@ void Domain::Pump() {
     const TraceRecord& record = trace_[cursor_++];
     switch (record.kind) {
       case TraceEventKind::kClientRead:
-        if (remote_ != nullptr && remote_->Forward(record, position)) break;
+        if (routed_ != nullptr && routed_->Serve(record, position)) break;
         server_.ClientRead(record.page, record.bytes);
         break;
       case TraceEventKind::kClientWrite:

@@ -1,7 +1,8 @@
 // One simulated data server, composed once: event kernel, low-power
 // policy, memory controller (chips and buses), data server, a cursor over
 // a borrowed trace, and the optional audit and observer. RunTrace runs
-// one Domain; RunFleet runs one per engine shard.
+// one Domain; RunFleet runs one per engine shard, each on its routed
+// trace.
 //
 // Construction schedules the run's first events in one fixed order — the
 // controller's, the server's, the feeder's first pump at trace[0].time,
@@ -23,14 +24,16 @@ namespace dmasim {
 
 class ShardedEngine;
 
-// The feeder's one fleet hook: a client read whose stream is homed on a
-// peer domain goes to that peer instead of this domain's server.
-class RemoteReads {
+// The feeder's one fleet hook: it serves the client reads that peer
+// domains routed into this domain's trace, and records their replies
+// for the requesters.
+class RoutedReads {
  public:
-  virtual ~RemoteReads() = default;
+  virtual ~RoutedReads() = default;
   // Called for the client read at trace index `position`. Returns true
-  // when the read was sent to a peer; false serves it locally.
-  virtual bool Forward(const TraceRecord& record, std::uint64_t position) = 0;
+  // when the read was routed in and the hook served it; false serves it
+  // as a local read.
+  virtual bool Serve(const TraceRecord& record, std::uint64_t position) = 0;
 };
 
 class Domain {
@@ -47,7 +50,7 @@ class Domain {
 
   // Installs the fleet hook. Without one (RunTrace), every client read is
   // served locally.
-  void set_remote_reads(RemoteReads* remote) { remote_ = remote; }
+  void set_routed_reads(RoutedReads* routed) { routed_ = routed; }
 
   Simulator& simulator() { return simulator_; }
   DataServer& server() { return server_; }
@@ -70,7 +73,7 @@ class Domain {
   DMASIM_SHARD_LOCAL MemoryController controller_;
   DMASIM_SHARD_LOCAL DataServer server_;
   DMASIM_SHARD_LOCAL std::size_t cursor_ = 0;
-  DMASIM_SHARED_CONST RemoteReads* remote_ = nullptr;
+  DMASIM_SHARED_CONST RoutedReads* routed_ = nullptr;
   DMASIM_SHARD_LOCAL std::unique_ptr<SimulationAudit> audit_;
   DMASIM_SHARD_LOCAL std::unique_ptr<SimulationObserver> observer_;
 };

@@ -3,155 +3,113 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
-#include <memory>
-#include <thread>
+#include <utility>
 
-#include "audit/shard_audit.h"
 #include "server/domain.h"
 #include "util/fnv.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace dmasim {
 
 namespace {
 
-// The one cross-shard message kind (ShardMessage::kind): a remote client
-// read, a=page, b=bytes.
-constexpr std::uint32_t kRemoteReadMsg = 1;
-
-// Set up before the engine runs, read-only to every worker after.
-struct FleetShared {
-  DMASIM_SHARED_CONST ShardedEngine* engine = nullptr;
-  DMASIM_SHARED_CONST Tick remote_latency = 0;
-  DMASIM_SHARED_CONST std::uint64_t stream_count = 0;
-  // Per-stream remote-homing probability as a 32-bit threshold.
-  DMASIM_SHARED_CONST std::uint64_t remote_threshold = 0;
-  DMASIM_SHARED_CONST int domain_count = 0;
-  DMASIM_SHARED_CONST std::uint64_t salt = 0;
+// How client streams are homed: the per-stream remote-homing
+// probability as a 32-bit threshold, the stream space and the salt.
+// dmasim-lint: allow(unannotated-member) -- value type, local to routing.
+struct StreamHoming {
+  std::uint64_t stream_count = 0;
+  std::uint64_t remote_threshold = 0;
+  int domain_count = 0;
+  std::uint64_t salt = 0;
 };
+
+StreamHoming HomingFor(const FleetOptions& options) {
+  StreamHoming homing;
+  homing.stream_count = options.streams_per_domain;
+  homing.domain_count = options.domains;
+  std::uint64_t salt_state = options.workload.seed;
+  homing.salt = SplitMix64(salt_state);
+  homing.remote_threshold =
+      options.domains > 1
+          ? static_cast<std::uint64_t>(options.remote_fraction * 4294967296.0)
+          : 0;
+  return homing;
+}
 
 // The domain a trace record's client stream is homed on: itself for
 // local streams, a stable peer for remote-homed ones. The stream is a
 // stable hash of the record's position in the domain's trace, folded
 // onto the per-domain stream space.
-int HomeOf(const FleetShared& shared, int domain, std::uint64_t position) {
-  std::uint64_t state = shared.salt ^
+int HomeOf(const StreamHoming& homing, int domain, std::uint64_t position) {
+  std::uint64_t state = homing.salt ^
                         (static_cast<std::uint64_t>(domain) << 40) ^ position;
-  const std::uint64_t stream = SplitMix64(state) % shared.stream_count;
-  state = shared.salt ^ 0x5eedULL ^
+  const std::uint64_t stream = SplitMix64(state) % homing.stream_count;
+  state = homing.salt ^ 0x5eedULL ^
           (static_cast<std::uint64_t>(domain) << 32) ^ stream;
   const std::uint64_t hash = SplitMix64(state);
-  if ((hash & 0xffffffffULL) >= shared.remote_threshold) return domain;
+  if ((hash & 0xffffffffULL) >= homing.remote_threshold) return domain;
   const std::uint64_t peer =
-      (hash >> 32) % static_cast<std::uint64_t>(shared.domain_count - 1);
-  return (domain + 1 + static_cast<int>(peer)) % shared.domain_count;
+      (hash >> 32) % static_cast<std::uint64_t>(homing.domain_count - 1);
+  return (domain + 1 + static_cast<int>(peer)) % homing.domain_count;
 }
 
-// A client read in a member's trace whose stream is homed on `home`.
-// dmasim-lint: allow(unannotated-member) -- value type, stored in the
-// member's annotated remote_reads.
-struct RemoteRead {
-  std::uint64_t position = 0;
-  int home = 0;
+// Threads for a fleet's trace generation and its engine window: more
+// than one per domain finds no work, and more than one per core only
+// takes turns on a core.
+int FleetThreads(const FleetOptions& options) {
+  DMASIM_EXPECTS(options.sim_threads >= 1);
+  return std::min({options.sim_threads, ThreadPool::HardwareThreads(),
+                   std::max(1, options.domains)});
+}
+
+// A read on its way to its home: the record at its arrival tick.
+// dmasim-lint: allow(unannotated-member) -- value type, local to routing.
+struct InFlightRead {
+  TraceRecord record;
+  int sender = 0;
 };
 
-// A peer's remote read that this member served. The reply would reach
-// the requester at `reply_at` (never while the read is still being
-// served); the requester sent the read at `sent_at`.
-// dmasim-lint: allow(unannotated-member) -- value type, stored in the
-// member's annotated served_reads.
-struct ServedRead {
-  Tick reply_at = Simulator::kNoPendingEvent;
-  Tick sent_at = 0;
-  int requester = 0;
-};
-
-// One fleet member: a Domain on its own engine shard, the workload and
-// options the domain borrows, and the member's side of the remote-read
-// traffic. Lives in a deque (Domain is neither copyable nor movable).
-struct FleetMember final : RemoteReads {
-  FleetMember(const FleetOptions& options, int member_index,
-              const FleetShared* shared_state)
-      : index(member_index),
-        shared(shared_state),
-        spec(MakeFleetDomainSpec(options, member_index)),
-        trace(GenerateWorkload(spec.workload)),
-        domain(spec.options, spec.workload.miss_ratio, trace,
-               shared_state->engine) {
-    if (shared->remote_threshold == 0) return;
-    // A read's home depends only on its position, so one pass over the
-    // trace finds every read this member will forward.
-    for (std::uint64_t position = 0; position < trace.size(); ++position) {
-      if (trace[position].kind != TraceEventKind::kClientRead) continue;
-      const int home = HomeOf(*shared, index, position);
-      if (home != index) remote_reads.push_back(RemoteRead{position, home});
-    }
-    if (!remote_reads.empty()) domain.set_remote_reads(this);
+// One fleet member: a Domain on its routed trace, the workload and
+// options the domain borrows, and the reads it serves for peers. Lives
+// in a deque (Domain is neither copyable nor movable).
+struct FleetMember final : RoutedReads {
+  FleetMember(FleetDomainSpec domain_spec, RoutedTrace routed_trace,
+              const ShardedEngine* engine)
+      : spec(std::move(domain_spec)),
+        routed(std::move(routed_trace)),
+        finished_at(routed.routed_in.size(), Simulator::kNoPendingEvent),
+        domain(spec.options, spec.workload.miss_ratio, routed.trace, engine) {
+    if (!routed.routed_in.empty()) domain.set_routed_reads(this);
   }
 
+  // The feeder reaches the routed-in reads in trace order, so comparing
+  // positions with the next one finds each.
   // dmasim-lint: window-context
-  bool Forward(const TraceRecord& record, std::uint64_t position) override {
-    if (next_remote == remote_reads.size() ||
-        remote_reads[next_remote].position != position) {
+  bool Serve(const TraceRecord& record, std::uint64_t position) override {
+    if (next_routed == routed.routed_in.size() ||
+        routed.routed_in[next_routed].position != position) {
       return false;
     }
-    const int home = remote_reads[next_remote++].home;
-    shared->engine->Send(
-        index, home, domain.simulator().Now() + shared->remote_latency,
-        kRemoteReadMsg, record.page,
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(record.bytes)),
-        0);
+    const std::size_t read = next_routed++;
+    domain.server().ClientRead(record.page, record.bytes,
+                               [this, read](Tick finish) {
+                                 finished_at[read] = finish;
+                               });
     return true;
   }
 
-  // The engine's send bound: the feeder forwards each record at its own
-  // time, and forwarding is the only way a member sends, so no message
-  // can leave before the next remote-homed record's time plus the hop.
-  Tick SendBound() const {
-    if (next_remote == remote_reads.size()) {
-      return Simulator::kNoPendingEvent;
-    }
-    return trace[remote_reads[next_remote].position].time +
-           shared->remote_latency;
-  }
-
-  // Barrier-time delivery: turns a peer's remote read into an ordinary
-  // event in this member's kernel. Its reply is bookkeeping, not a
-  // message: it would only bump the requester's counters, which no
-  // simulated hardware reads, so the read's reply time is recorded here
-  // and RunFleet credits the requester after the run.
-  void Handle(const ShardMessage& message) {
-    DMASIM_CHECK_EQ(message.kind, kRemoteReadMsg);
-    const std::uint64_t page = message.a;
-    const std::int64_t bytes = static_cast<std::int64_t>(message.b);
-    const int requester = static_cast<int>(message.src);
-    domain.simulator().ScheduleAt(
-        message.deliver_at, [this, page, bytes, requester]() {
-          const std::size_t read = served_reads.size();
-          served_reads.push_back(ServedRead{
-              Simulator::kNoPendingEvent,
-              domain.simulator().Now() - shared->remote_latency, requester});
-          domain.server().ClientRead(page, bytes, [this, read](Tick end) {
-            served_reads[read].reply_at = end + shared->remote_latency;
-          });
-        });
-  }
-
-  DMASIM_SHARED_CONST int index;
-  DMASIM_SHARED_CONST const FleetShared* shared;
   DMASIM_SHARED_CONST FleetDomainSpec spec;
-  DMASIM_SHARED_CONST Trace trace;
+  DMASIM_SHARED_CONST RoutedTrace routed;
+  // When each routed-in read finished, by routed-in index;
+  // kNoPendingEvent until then. Its reply reaches the requester one hop
+  // later.
+  DMASIM_SHARD_LOCAL std::vector<Tick> finished_at;
+  // The routed-in reads the feeder has reached.
+  DMASIM_SHARD_LOCAL std::size_t next_routed = 0;
   // The domain's private simulated system — owned by its shard's worker
-  // during a window, by the coordinator at barriers (Handle).
+  // during the window, by the coordinator before and after.
   DMASIM_SHARD_LOCAL Domain domain;
-
-  // This member's remote-homed client reads in trace order, found at
-  // construction, and the next one the feeder will reach: the reads
-  // before it are the ones it sent.
-  DMASIM_SHARED_CONST std::vector<RemoteRead> remote_reads;
-  DMASIM_SHARD_LOCAL std::size_t next_remote = 0;
-  // Peers' reads this member served, in arrival order.
-  DMASIM_SHARD_LOCAL std::vector<ServedRead> served_reads;
 };
 
 std::uint64_t Bits(double value) {
@@ -204,6 +162,86 @@ FleetDomainSpec MakeFleetDomainSpec(const FleetOptions& options, int index) {
   return spec;
 }
 
+std::vector<RoutedTrace> RouteFleetTraces(const FleetOptions& options,
+                                          std::vector<Trace> traces) {
+  DMASIM_EXPECTS(traces.size() == static_cast<std::size_t>(options.domains));
+  const StreamHoming homing = HomingFor(options);
+  std::vector<RoutedTrace> routed(traces.size());
+
+  // One pass per trace takes its remote-homed reads out, in place.
+  // Senders go in index order, each in send order, so a stable sort on
+  // the arrival tick puts every home's reads in (arrival tick, sender,
+  // send order).
+  std::vector<std::vector<InFlightRead>> arriving(traces.size());
+  for (std::size_t sender = 0; sender < traces.size(); ++sender) {
+    Trace& trace = traces[sender];
+    std::size_t kept = 0;
+    for (std::uint64_t position = 0; position < trace.size(); ++position) {
+      const TraceRecord& record = trace[position];
+      const int home =
+          record.kind == TraceEventKind::kClientRead
+              ? HomeOf(homing, static_cast<int>(sender), position)
+              : static_cast<int>(sender);
+      if (home == static_cast<int>(sender)) {
+        trace[kept++] = record;
+        continue;
+      }
+      InFlightRead read{record, static_cast<int>(sender)};
+      read.record.time += options.remote_latency;
+      arriving[static_cast<std::size_t>(home)].push_back(read);
+    }
+    routed[sender].remote_sent = trace.size() - kept;
+    trace.resize(kept);
+  }
+
+  // Each home's reads merge into its trace from the back, so its records
+  // move once and no second trace exists. On equal ticks the read goes
+  // behind the home's own record.
+  for (std::size_t home = 0; home < traces.size(); ++home) {
+    std::vector<InFlightRead>& reads = arriving[home];
+    std::stable_sort(reads.begin(), reads.end(),
+                     [](const InFlightRead& a, const InFlightRead& b) {
+                       return a.record.time < b.record.time;
+                     });
+    Trace& trace = traces[home];
+    std::vector<RoutedRead>& routed_in = routed[home].routed_in;
+    routed_in.resize(reads.size());
+    std::size_t own = trace.size();
+    std::size_t read = reads.size();
+    trace.resize(own + read);
+    for (std::size_t slot = trace.size(); read > 0;) {
+      --slot;
+      if (own > 0 && trace[own - 1].time > reads[read - 1].record.time) {
+        trace[slot] = trace[--own];
+      } else {
+        --read;
+        trace[slot] = reads[read].record;
+        routed_in[read] = RoutedRead{slot, reads[read].sender};
+      }
+    }
+    routed[home].trace = std::move(trace);
+  }
+  return routed;
+}
+
+std::vector<Trace> GenerateFleetTraces(const FleetOptions& options) {
+  DMASIM_EXPECTS(options.domains >= 1);
+  std::vector<Trace> traces(static_cast<std::size_t>(options.domains));
+  // As many workers as the engine's team adds to the calling thread, so
+  // the team's threads reuse the pool's malloc arenas. One worker more
+  // left one more arena holding each run's memory and raised the
+  // benchmark fleet's median peak RSS 4.7% (4-vCPU VM, glibc malloc).
+  ThreadPool pool(std::max(1, FleetThreads(options) - 1));
+  for (int i = 0; i < options.domains; ++i) {
+    pool.Submit([&options, &traces, i]() {
+      traces[static_cast<std::size_t>(i)] =
+          GenerateWorkload(MakeFleetDomainSpec(options, i).workload);
+    });
+  }
+  pool.Wait();
+  return traces;
+}
+
 FleetResults RunFleet(const FleetOptions& options) {
   DMASIM_EXPECTS(options.domains >= 1);
   DMASIM_EXPECTS(options.sim_threads >= 1);
@@ -212,49 +250,37 @@ FleetResults RunFleet(const FleetOptions& options) {
                  options.remote_fraction <= 1.0);
   if (options.domains > 1) DMASIM_EXPECTS(options.remote_latency > 0);
 
-  FleetShared shared;
-  shared.remote_latency = options.remote_latency;
-  shared.stream_count = options.streams_per_domain;
-  shared.domain_count = options.domains;
-  std::uint64_t salt_state = options.workload.seed;
-  shared.salt = SplitMix64(salt_state);
-  shared.remote_threshold =
-      options.domains > 1
-          ? static_cast<std::uint64_t>(options.remote_fraction * 4294967296.0)
-          : 0;
+  // Only the traces generate in parallel; the domains are built below,
+  // on this thread. Building whole domains on the workers raised the
+  // benchmark fleet's peak RSS from about 60 to about 70 MiB (4-vCPU
+  // VM).
+  std::vector<RoutedTrace> routed =
+      RouteFleetTraces(options, GenerateFleetTraces(options));
 
+  // Every shard's send bound is "never", so the run is one window. The
+  // engine still requires a positive lookahead with more than one shard;
+  // it bounds only shards that declare no bound, and there are none.
   ShardedEngine::Options engine_options;
-  engine_options.lookahead = options.remote_latency;
-  engine_options.mailbox_capacity = options.mailbox_capacity;
-  engine_options.record_deliveries = options.record_deliveries;
+  engine_options.lookahead = 1;
   engine_options.record_window_digests = options.record_window_digests;
-  engine_options.fault = options.engine_fault;
   engine_options.sched_fuzz_seed = options.sched_fuzz_seed;
-  std::unique_ptr<ShardAudit> shard_audit;
-  if (options.base.audit_level >= 1) {
-    shard_audit = std::make_unique<ShardAudit>(
-        options.base.audit_abort ? InvariantAuditor::Mode::kAbort
-                                 : InvariantAuditor::Mode::kCollect);
-    engine_options.hooks = shard_audit.get();
-  }
   ShardedEngine engine(engine_options);
-  shared.engine = &engine;
 
   std::deque<FleetMember> members;
   for (int i = 0; i < options.domains; ++i) {
-    FleetMember* member = &members.emplace_back(options, i, &shared);
+    FleetMember* member = &members.emplace_back(
+        MakeFleetDomainSpec(options, i),
+        std::move(routed[static_cast<std::size_t>(i)]), &engine);
     engine.AddShard(
         &member->domain.simulator(),
-        [member](const ShardMessage& message) { member->Handle(message); },
-        [member]() { return member->SendBound(); });
+        [](const ShardMessage&) {
+          DMASIM_CHECK_MSG(false, "a fleet member received a message");
+        },
+        []() { return Simulator::kNoPendingEvent; });
   }
 
   const Tick end = options.workload.duration + options.base.drain;
-  // More members than cores only makes them take turns on a core: the
-  // team never runs more threads than the host has.
-  const int cores =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  engine.Run(end, std::min(options.sim_threads, cores));
+  engine.Run(end, FleetThreads(options));
   for (FleetMember& member : members) member.domain.simulator().RunUntil(end);
 
   FleetResults fleet;
@@ -262,20 +288,25 @@ FleetResults RunFleet(const FleetOptions& options) {
   for (FleetMember& member : members) {
     FleetDomainResults& summary = fleet.domains.emplace_back();
     summary.results = member.domain.Collect(options.workload.name);
-    summary.remote_sent = member.next_remote;
-    summary.remote_served = member.served_reads.size();
+    summary.remote_sent = member.routed.remote_sent;
+    summary.remote_served = member.next_routed;
   }
   // Each requester gets the replies that reach it by `end`, one hop after
   // their reads were served. Response times are whole ticks, so their
   // sums are exact in any order (below 2^53 ticks).
   for (const FleetMember& member : members) {
-    for (const ServedRead& read : member.served_reads) {
-      if (read.reply_at > end) continue;
+    for (std::size_t read = 0; read < member.next_routed; ++read) {
+      const Tick finish = member.finished_at[read];
+      if (finish == Simulator::kNoPendingEvent) continue;  // Still serving.
+      const Tick reply_at = finish + options.remote_latency;
+      if (reply_at > end) continue;
+      const RoutedRead& routed_read = member.routed.routed_in[read];
+      const Tick sent_at = member.routed.trace[routed_read.position].time -
+                           options.remote_latency;
       FleetDomainResults& requester =
-          fleet.domains[static_cast<std::size_t>(read.requester)];
+          fleet.domains[static_cast<std::size_t>(routed_read.requester)];
       ++requester.remote_completed;
-      requester.remote_response.Add(
-          static_cast<double>(read.reply_at - read.sent_at));
+      requester.remote_response.Add(static_cast<double>(reply_at - sent_at));
     }
   }
   for (const FleetDomainResults& summary : fleet.domains) {
@@ -289,13 +320,8 @@ FleetResults RunFleet(const FleetOptions& options) {
     fleet.remote_completed += summary.remote_completed;
   }
   fleet.engine = engine.stats();
-  if (options.record_deliveries) fleet.deliveries = engine.deliveries();
   if (options.record_window_digests) {
     fleet.window_digests = engine.window_digests();
-  }
-  if (shard_audit != nullptr) {
-    fleet.shard_audit_checks = shard_audit->checks_run();
-    fleet.shard_audit_failures = shard_audit->auditor().failures().size();
   }
   return fleet;
 }

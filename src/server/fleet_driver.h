@@ -1,27 +1,30 @@
-// Fleet driver: one simulation spanning many memory-controller domains,
-// executed by the sharded engine (sim/sharded_engine.h).
+// Fleet driver: one simulation spanning many memory-controller domains.
 //
 // Each domain is a full simulated system — private event kernel, memory
 // controller with its chips and buses, data server, workload trace — and
-// maps 1:1 onto an engine shard. Domains interact only through remote
-// client reads: every request belongs to a client stream (a stable hash
-// of its trace position), and a configurable fraction of streams are
-// homed on a peer domain. A remote-homed read is forwarded over the
-// fleet interconnect (one `remote_latency` hop each way) as a
-// cross-shard message and served by the peer's data server; its reply
-// changes nothing the requester simulates, so it is not a message but a
-// record, credited to the requester's remote-read counters after the
-// run. No cross-domain effect propagates faster than one hop, and a
-// domain sends only when its feeder reaches a remote-homed read — a
-// position known before the run — so each domain declares the engine
-// send bound "next remote-homed read's time + remote_latency". With no
-// remote-homed read left anywhere, the rest of the run is one window.
+// runs on its own shard of the sharded engine (sim/sharded_engine.h).
+// Domains interact only through remote client reads: every request
+// belongs to a client stream (a stable hash of its trace position), and
+// a configurable fraction of streams are homed on a peer domain. A
+// remote-homed read crosses the fleet interconnect, one `remote_latency`
+// hop each way, and the peer's data server serves it.
+//
+// Route, then run. Nothing a domain simulates reaches another domain: a
+// read's home depends only on its position in its sender's trace, and it
+// reaches the home one hop after its trace time. So RunFleet generates
+// every domain's trace, routes each remote-homed read out of its
+// sender's trace and into its home's (RouteFleetTraces), and then runs
+// each domain as an ordinary `Domain` on its routed trace. No message
+// crosses shards: every shard declares the engine send bound "never",
+// so the engine runs the whole fleet as one window. A reply changes
+// nothing the requester simulates, so it is a record, credited to the
+// requester's remote-read counters after the run.
 //
 // Determinism: RunFleet with the same options produces bit-identical
-// results for every `sim_threads` value — the engine's windows, the
-// per-domain event orders, and the barrier delivery order are all
-// independent of the thread count. `FleetResults::Fingerprint()`
-// digests the run for the pinned-checksum suites.
+// results for every `sim_threads` value — routing is serial and depends
+// only on the traces, and each domain runs its own kernel in its own
+// (time, seq) order. `FleetResults::Fingerprint()` digests the run for
+// the pinned-checksum suites.
 #ifndef DMASIM_SERVER_FLEET_DRIVER_H_
 #define DMASIM_SERVER_FLEET_DRIVER_H_
 
@@ -31,6 +34,7 @@
 #include "server/simulation_driver.h"
 #include "sim/sharded_engine.h"
 #include "stats/accumulators.h"
+#include "trace/trace.h"
 #include "trace/workloads.h"
 #include "util/time.h"
 
@@ -48,9 +52,10 @@ struct FleetOptions {
   DMASIM_SHARED_CONST WorkloadSpec workload;
 
   DMASIM_SHARED_CONST int domains = 4;
-  // Engine threads, >= 1; 1 = serial. The run uses at most one per
+  // Threads, >= 1; 1 = serial. The engine's window uses at most one per
   // domain and per host core (FleetResults::engine.threads reports how
-  // many it used). Any value is bit-identical.
+  // many), and trace generation all but the calling one. Any value is
+  // bit-identical.
   DMASIM_SHARED_CONST int sim_threads = 1;
 
   // Fraction of client streams homed on a remote domain (0 disables
@@ -59,41 +64,81 @@ struct FleetOptions {
   // Client streams per domain; requests hash onto streams, and a
   // stream's home (local or which peer) is a stable function of its id.
   DMASIM_SHARED_CONST std::uint64_t streams_per_domain = 1024;
-  // One-way fleet-interconnect hop: how far past a remote-homed read's
-  // time a domain's send bound lies. Must be positive when `domains` > 1
-  // (it is also the engine's lookahead).
+  // One-way fleet-interconnect hop: a remote-homed read reaches its home
+  // this long after its time in the sender's trace, and its reply takes
+  // as long back. Must be positive when `domains` > 1.
   DMASIM_SHARED_CONST Tick remote_latency = 20 * kMicrosecond;
 
-  // Engine knobs (see ShardedEngine::Options).
-  DMASIM_SHARED_CONST std::size_t mailbox_capacity = 4096;
-  DMASIM_SHARED_CONST bool record_deliveries = false;
+  // Engine knobs (see ShardedEngine::Options). The run is one window, so
+  // it records one digest, and a fuzz seed permutes the shard order
+  // inside that window.
   DMASIM_SHARED_CONST bool record_window_digests = false;
-  // Seeded engine fault for the determinism proof kit (kNone in any
-  // real run; `fleet_scenario --engine-fault` plumbs it for the CI
-  // divergence check).
-  DMASIM_SHARED_CONST EngineFault engine_fault = EngineFault::kNone;
-  // Nonzero perturbs worker scheduling (see ShardedEngine::Options); the
-  // result must stay bit-identical to seed 0.
+  // Nonzero perturbs worker scheduling; the result must stay
+  // bit-identical to seed 0.
   DMASIM_SHARED_CONST std::uint64_t sched_fuzz_seed = 0;
 };
 
 // Domain `index`'s workload and options: the fleet's templates, seeded
-// from `workload.seed` and the index. RunFleet builds the domain from
-// exactly these, so with no remote-homed stream RunTrace on this pair
-// reproduces it bit for bit.
+// from `workload.seed` and the index. RunFleet generates the domain's
+// trace from `workload` and builds the domain from `options`, so RunTrace
+// on the domain's routed trace and these options reproduces it bit for
+// bit.
 struct FleetDomainSpec {
   DMASIM_SHARED_CONST WorkloadSpec workload;
   DMASIM_SHARED_CONST SimulationOptions options;
 };
 FleetDomainSpec MakeFleetDomainSpec(const FleetOptions& options, int index);
 
+// Every domain's generated trace, traces[i] from
+// MakeFleetDomainSpec(options, i).workload, generated in parallel on the
+// threads the engine's team adds to the calling thread (at least one).
+std::vector<Trace> GenerateFleetTraces(const FleetOptions& options);
+
+// A client read that routing moved into its home's trace.
+// dmasim-lint: allow(unannotated-member) -- value type, held by the
+// RoutedTrace that owns it.
+struct RoutedRead {
+  std::uint64_t position = 0;  // Index in the home's routed trace.
+  int requester = 0;           // The domain that sent it.
+};
+
+// One domain's trace after routing.
+// dmasim-lint: allow(unannotated-member) -- value type, built before the
+// run and read-only to the domain that runs it.
+struct RoutedTrace {
+  // The domain's own records minus the reads it sent to peers, merged
+  // with the reads peers sent to it; time-sorted.
+  Trace trace;
+  // The routed-in reads, in trace order.
+  std::vector<RoutedRead> routed_in;
+  // This domain's own reads that were routed to a peer.
+  std::uint64_t remote_sent = 0;
+};
+
+// Routes every remote-homed client read out of its sender's trace and
+// into its home's, where it arrives `remote_latency` after its time in
+// the sender's trace. `traces` is GenerateFleetTraces(options) or any
+// time-sorted traces, one per domain, and each is routed in place into
+// its domain's RoutedTrace, so no unrouted copy outlives routing.
+// A read's home depends only on its position in its sender's trace,
+// `workload.seed`, `streams_per_domain` and `remote_fraction`; with one
+// domain or a zero fraction every trace comes back unchanged.
+//
+// Same-tick rule: on equal ticks a home's own records come first, and
+// its routed-in reads follow in (arrival tick, sender, sender's send
+// order).
+std::vector<RoutedTrace> RouteFleetTraces(const FleetOptions& options,
+                                          std::vector<Trace> traces);
+
 // One domain's outcome: the usual single-system results plus its side of
 // the remote-read traffic. Results structs are assembled after the run
 // on the coordinator — barrier context, hence DMASIM_BARRIER_ONLY.
 struct FleetDomainResults {
   DMASIM_BARRIER_ONLY SimulationResults results;
-  DMASIM_BARRIER_ONLY std::uint64_t remote_sent = 0;   // Forwarded to a peer.
-  DMASIM_BARRIER_ONLY std::uint64_t remote_served = 0;  // Peer reads served.
+  // Own reads routed to a peer.
+  DMASIM_BARRIER_ONLY std::uint64_t remote_sent = 0;
+  // Routed-in reads served by the end of the run.
+  DMASIM_BARRIER_ONLY std::uint64_t remote_served = 0;
   // Replies back by the end of the run.
   DMASIM_BARRIER_ONLY std::uint64_t remote_completed = 0;
   // End-to-end remote read, ticks.
@@ -116,19 +161,12 @@ struct FleetResults {
   DMASIM_BARRIER_ONLY std::uint64_t remote_served = 0;
   DMASIM_BARRIER_ONLY std::uint64_t remote_completed = 0;
 
-  // Engine outcome.
+  // Engine outcome: one window, no delivered message.
   DMASIM_BARRIER_ONLY ShardedEngine::Stats engine;
-  // Delivered cross-shard messages in delivery order (empty unless
-  // FleetOptions::record_deliveries; the golden-replay test pins it).
-  DMASIM_BARRIER_ONLY std::vector<ShardMessage> deliveries;
-  // Per-window delivery digests (empty unless
-  // FleetOptions::record_window_digests). Comparing two runs finds the
-  // first mismatching window of a divergence.
+  // The run's window digest (empty unless
+  // FleetOptions::record_window_digests). Comparing two runs' digests
+  // tells whether they diverged.
   DMASIM_BARRIER_ONLY std::vector<std::uint64_t> window_digests;
-  // Shard-protocol audit outcome (zero unless base.audit_level >= 1).
-  // Not part of Fingerprint() — auditing must not change the result.
-  DMASIM_BARRIER_ONLY std::uint64_t shard_audit_checks = 0;
-  DMASIM_BARRIER_ONLY std::uint64_t shard_audit_failures = 0;
 
   // Order-stable FNV-1a digest of the simulation-visible outcome (event
   // counts, energy, latencies, remote traffic — not wall-clock). Equal

@@ -13,8 +13,8 @@
 #include "exp/json.h"
 #include "exp/result_sink.h"
 #include "exp/sweep_runner.h"
-#include "exp/thread_pool.h"
 #include "trace/workloads.h"
+#include "util/thread_pool.h"
 
 namespace dmasim {
 namespace {

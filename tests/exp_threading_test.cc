@@ -13,8 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "exp/sweep_runner.h"
-#include "exp/thread_pool.h"
 #include "trace/workloads.h"
+#include "util/thread_pool.h"
 
 namespace dmasim {
 namespace {

@@ -1,14 +1,13 @@
 // The tentpole invariant, end to end: a fleet run's results are a pure
 // function of its options — bit-identical for every `sim_threads` value
 // — across the paper's OLTP and DSS storage workloads and a monitored
-// configuration. The golden-replay test additionally pins the exact
-// cross-shard delivery log, so a synchronization bug that merely
-// reorders shard-boundary events (without changing aggregate stats)
-// still fails loudly. The pinned fleets anchor the fingerprint's bytes,
-// and the remote-fraction-0 oracle checks every domain against RunTrace.
+// configuration. The routed-inputs test additionally pins what routing
+// hands each domain, so a change that merely reorders routed reads
+// (without changing aggregate stats) still fails loudly. The pinned
+// fleets anchor the fingerprint's bytes, and the RunTrace oracle checks
+// every domain against the single-system path on its routed trace.
 // (Suite names carry *Determinism* so the TSan CI leg exercises the
 // threaded paths under the race detector.)
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -26,8 +25,8 @@
 namespace dmasim {
 namespace {
 
-// Short per-domain horizon: with four domains this still crosses
-// hundreds of engine windows, which is what the invariant stresses.
+// Short per-domain horizon: with four domains and a quarter of the
+// streams remote this still routes hundreds of reads.
 constexpr Tick kFleetDuration = 4 * kMillisecond;
 
 FleetOptions SmallFleet(WorkloadSpec spec) {
@@ -101,47 +100,47 @@ TEST(FleetDeterminismTest, DistinctSeedsProduceDistinctFingerprints) {
   EXPECT_NE(FingerprintAt(options, 1), a);
 }
 
-// Golden replay: the shard-boundary traffic itself — every delivered
-// message, in delivery order — is identical across thread counts.
-TEST(FleetDeterminismTest, DeliveryLogIsThreadCountInvariant) {
+// What routing hands the domains — every routed trace and its routed-in
+// reads — is identical at every thread count, and every read a domain
+// sends reaches exactly one home.
+TEST(FleetDeterminismTest, RoutedInputsAreThreadCountInvariant) {
   FleetOptions options = SmallFleet(OltpStorageSpec());
-  options.record_deliveries = true;
-
   options.sim_threads = 1;
-  const FleetResults serial = RunFleet(options);
-  ASSERT_GT(serial.deliveries.size(), 0u);
-  // Every remote read crosses the interconnect as one message; its reply
-  // is bookkeeping.
-  EXPECT_EQ(serial.deliveries.size(), serial.remote_sent);
+  const std::vector<RoutedTrace> serial =
+      RouteFleetTraces(options, GenerateFleetTraces(options));
+  ASSERT_EQ(serial.size(), static_cast<std::size_t>(options.domains));
+  std::uint64_t sent = 0;
+  std::uint64_t routed_in = 0;
+  std::vector<std::uint64_t> from(serial.size(), 0);
+  for (const RoutedTrace& domain : serial) {
+    sent += domain.remote_sent;
+    routed_in += domain.routed_in.size();
+    for (const RoutedRead& read : domain.routed_in) {
+      ++from.at(static_cast<std::size_t>(read.requester));
+    }
+  }
+  EXPECT_GT(sent, 0u);
+  EXPECT_EQ(routed_in, sent);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(from[i], serial[i].remote_sent) << "requester " << i;
+  }
 
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
     options.sim_threads = threads;
-    const FleetResults threaded = RunFleet(options);
-    ASSERT_EQ(threaded.deliveries.size(), serial.deliveries.size())
-        << "threads=" << threads;
-    for (std::size_t i = 0; i < serial.deliveries.size(); ++i) {
-      const ShardMessage& want = serial.deliveries[i];
-      const ShardMessage& got = threaded.deliveries[i];
-      ASSERT_TRUE(got.deliver_at == want.deliver_at &&
-                  got.send_seq == want.send_seq && got.a == want.a &&
-                  got.b == want.b && got.c == want.c &&
-                  got.src == want.src && got.dst == want.dst &&
-                  got.kind == want.kind)
-          << "threads=" << threads << " delivery #" << i;
-    }
-    // Every send is delivered exactly once: per source, the sequence
-    // numbers in the log are a gapless permutation of 0..n-1. (The log
-    // is NOT deliver_at- or seq-sorted globally: the sort key is
-    // per-barrier.)
-    std::vector<std::vector<std::uint64_t>> seqs(
-        static_cast<std::size_t>(options.domains));
-    for (const ShardMessage& message : threaded.deliveries) {
-      seqs[message.src].push_back(message.send_seq);
-    }
-    for (std::vector<std::uint64_t>& from_src : seqs) {
-      std::sort(from_src.begin(), from_src.end());
-      for (std::size_t s = 0; s < from_src.size(); ++s) {
-        ASSERT_EQ(from_src[s], s);
+    const std::vector<RoutedTrace> threaded =
+        RouteFleetTraces(options, GenerateFleetTraces(options));
+    ASSERT_EQ(threaded.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      SCOPED_TRACE("domain " + std::to_string(i));
+      EXPECT_TRUE(threaded[i].trace == serial[i].trace);
+      EXPECT_EQ(threaded[i].remote_sent, serial[i].remote_sent);
+      ASSERT_EQ(threaded[i].routed_in.size(), serial[i].routed_in.size());
+      for (std::size_t r = 0; r < serial[i].routed_in.size(); ++r) {
+        ASSERT_EQ(threaded[i].routed_in[r].position,
+                  serial[i].routed_in[r].position);
+        ASSERT_EQ(threaded[i].routed_in[r].requester,
+                  serial[i].routed_in[r].requester);
       }
     }
   }
@@ -163,7 +162,7 @@ TEST(FleetDeterminismTest, PinnedFleetFingerprintIsStable) {
   // The fleet fingerprint ROADMAP.md cites: 8 OLTP-St domains, 5 ms,
   // 2,048 streams per domain, every other option at its default. Five
   // milliseconds is under the 20 ms layout interval, so this run
-  // covers the feeder, the remote-read path and the engine barriers.
+  // covers the feeder, routing and the routed reads' replies.
   FleetOptions options = PinnedFleet(5 * kMillisecond);
   options.streams_per_domain = 2048;
   for (int threads : {1, 2, 4}) {
@@ -173,7 +172,12 @@ TEST(FleetDeterminismTest, PinnedFleetFingerprintIsStable) {
     EXPECT_GT(results.remote_completed, 0u);
 #if defined(__GNUC__) && !defined(__clang__)
     // Compiler-gated for the same reason as the pinned sweep checksum.
-    EXPECT_EQ(results.Fingerprint(), 6858090514081190971ULL);
+    // Re-pinned when routing replaced the engine's messages: every
+    // energy, latency and traffic statistic held; the executed and
+    // stepped event counts and the engine's windows (70 -> 1) and
+    // delivered messages (94 -> 0) moved.
+    EXPECT_EQ(results.Fingerprint(), 8646216335245846963ULL);
+    EXPECT_EQ(results.engine.windows, 1u);
 #endif
   }
 }
@@ -197,17 +201,18 @@ TEST(FleetDeterminismTest, PinnedFleetLayoutRoundsAreStable) {
     EXPECT_GT(migrations, 0u);
 #if defined(__GNUC__) && !defined(__clang__)
     // Compiler-gated for the same reason as the pinned sweep checksum.
-    EXPECT_EQ(results.Fingerprint(), 10473273614300639739ULL);
+    // Re-pinned with routing, as above (windows 2,629 -> 1).
+    EXPECT_EQ(results.Fingerprint(), 6832449865521269177ULL);
     EXPECT_EQ(migrations, 7362u);
-    EXPECT_EQ(results.engine.windows, 2629u);
+    EXPECT_EQ(results.engine.windows, 1u);
 #endif
   }
 }
 
-// The shard audit on a real fleet: DMA-TA-PL for 60 ms (three layout
-// rounds), audit level 1 in collect mode. Every barrier must pass the
-// audit's protocol checks, every domain its own invariants, and the
-// audit must not change the result.
+// The audit on a real fleet: DMA-TA-PL for 60 ms (three layout rounds),
+// audit level 1 in collect mode. Every domain must pass its own
+// invariants, routed reads included, and the audit must not change the
+// result.
 TEST(FleetDeterminismTest, AuditedLayoutFleetIsCleanAndUnchanged) {
   FleetOptions options = SmallFleet(OltpStorageSpec());
   options.workload.duration = 60 * kMillisecond;
@@ -222,8 +227,6 @@ TEST(FleetDeterminismTest, AuditedLayoutFleetIsCleanAndUnchanged) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     options.sim_threads = threads;
     const FleetResults results = RunFleet(options);
-    EXPECT_GT(results.shard_audit_checks, 0u);
-    EXPECT_EQ(results.shard_audit_failures, 0u);
     std::uint64_t migrations = 0;
     for (const FleetDomainResults& domain : results.domains) {
       EXPECT_GT(domain.results.audit_checks, 0u);
@@ -238,25 +241,49 @@ TEST(FleetDeterminismTest, AuditedLayoutFleetIsCleanAndUnchanged) {
 
 std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
-// The remote-fraction-0 differential oracle. With no remote-homed
-// stream a fleet is N independent systems, so each domain must equal
-// RunTrace on that domain's own trace and options, bit for bit. This
-// checks the sharded engine against the single-system path, not against
-// the engine's own history. Returns the migrations the domains made.
-std::uint64_t ExpectDomainsMatchRunTrace(FleetOptions options) {
+// The fleet's differential oracle. Routing leaves each domain an
+// ordinary trace, so each fleet domain must equal RunTrace on its own
+// routed trace and options, bit for bit, at every remote fraction: the
+// routed-in reads are plain client reads to RunTrace, and the fleet only
+// records their replies. This checks the fleet against the single-system
+// path, not against its own history. Returns the migrations the domains
+// made.
+std::uint64_t ExpectDomainsMatchRunTrace(FleetOptions options,
+                                         double remote_fraction) {
   options.domains = 4;
-  options.sim_threads = 2;
-  options.remote_fraction = 0.0;
+  options.sim_threads = 4;
+  options.remote_fraction = remote_fraction;
   const FleetResults fleet = RunFleet(options);
+  const std::vector<RoutedTrace> routed =
+      RouteFleetTraces(options, GenerateFleetTraces(options));
   EXPECT_EQ(fleet.domains.size(), 4u);
-  EXPECT_EQ(fleet.remote_sent, 0u);
+  EXPECT_EQ(routed.size(), 4u);
+  // Conservation: every read sent is routed into exactly one home, and
+  // a home serves at most the reads routed into it.
+  std::uint64_t routed_in = 0;
+  for (std::size_t i = 0; i < routed.size(); ++i) {
+    routed_in += routed[i].routed_in.size();
+    EXPECT_EQ(fleet.domains.at(i).remote_sent, routed[i].remote_sent);
+    EXPECT_LE(fleet.domains.at(i).remote_served, routed[i].routed_in.size());
+  }
+  EXPECT_EQ(fleet.remote_sent, routed_in);
+  if (remote_fraction == 0.0) {
+    EXPECT_EQ(fleet.remote_sent, 0u);
+  } else {
+    EXPECT_GT(fleet.remote_served, 0u);
+  }
   std::uint64_t migrations = 0;
   for (int i = 0; i < options.domains; ++i) {
     SCOPED_TRACE("domain " + std::to_string(i));
     const FleetDomainSpec spec = MakeFleetDomainSpec(options, i);
+    const Trace& trace = routed.at(static_cast<std::size_t>(i)).trace;
+    // With no remote stream, routing hands each domain its own trace.
+    if (remote_fraction == 0.0) {
+      EXPECT_TRUE(trace == GenerateWorkload(spec.workload));
+    }
     const SimulationResults solo =
-        RunTrace(GenerateWorkload(spec.workload), spec.workload.miss_ratio,
-                 spec.workload.duration, spec.options, spec.workload.name);
+        RunTrace(trace, spec.workload.miss_ratio, spec.workload.duration,
+                 spec.options, spec.workload.name);
     const SimulationResults& domain =
         fleet.domains.at(static_cast<std::size_t>(i)).results;
     EXPECT_GT(solo.executed_events, 0u);
@@ -280,15 +307,15 @@ std::uint64_t ExpectDomainsMatchRunTrace(FleetOptions options) {
   return migrations;
 }
 
-TEST(FleetDeterminismTest, RemoteFractionZeroDatabaseDomainsMatchRunTrace) {
+FleetOptions DatabaseOracleFleet() {
   // OLTP-Db baseline: the CPU-access path, 233 accesses per transfer.
   FleetOptions options;
   options.workload = OltpDatabaseSpec();
   options.workload.duration = 10 * kMillisecond;
-  ExpectDomainsMatchRunTrace(options);
+  return options;
 }
 
-TEST(FleetDeterminismTest, RemoteFractionZeroLayoutDomainsMatchRunTrace) {
+FleetOptions LayoutOracleFleet() {
   // OLTP-St under DMA-TA-PL at mu 2.0: gating and three layout rounds.
   FleetOptions options;
   options.workload = OltpStorageSpec();
@@ -296,7 +323,29 @@ TEST(FleetDeterminismTest, RemoteFractionZeroLayoutDomainsMatchRunTrace) {
   options.base.memory.dma.ta.enabled = true;
   options.base.memory.dma.ta.mu = 2.0;
   options.base.memory.dma.pl.enabled = true;
-  EXPECT_GT(ExpectDomainsMatchRunTrace(options), 0u);
+  return options;
+}
+
+TEST(FleetDeterminismTest, RemoteFractionZeroDatabaseDomainsMatchRunTrace) {
+  ExpectDomainsMatchRunTrace(DatabaseOracleFleet(), 0.0);
+}
+
+TEST(FleetDeterminismTest, RemoteFractionZeroLayoutDomainsMatchRunTrace) {
+  EXPECT_GT(ExpectDomainsMatchRunTrace(LayoutOracleFleet(), 0.0), 0u);
+}
+
+TEST(FleetDeterminismTest, RoutedDatabaseDomainsMatchRunTrace) {
+  for (double fraction : {0.05, 0.5}) {
+    SCOPED_TRACE("remote fraction " + std::to_string(fraction));
+    ExpectDomainsMatchRunTrace(DatabaseOracleFleet(), fraction);
+  }
+}
+
+TEST(FleetDeterminismTest, RoutedLayoutDomainsMatchRunTrace) {
+  for (double fraction : {0.05, 0.5}) {
+    SCOPED_TRACE("remote fraction " + std::to_string(fraction));
+    EXPECT_GT(ExpectDomainsMatchRunTrace(LayoutOracleFleet(), fraction), 0u);
+  }
 }
 
 // "1 = serial" is the smallest team: a count below it is a caller bug,

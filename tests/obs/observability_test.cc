@@ -142,16 +142,15 @@ TEST(ObservabilityTest, MetricsReconcileWithResults) {
   EXPECT_GT(peak->count, 0u);
 }
 
-// Fleet path: the obs-on==obs-off bit-identity re-assert for the sharded
-// engine's metric export. A one-slot mailbox under real cross-domain
-// traffic forces spills, so the exported counters are exercised nonzero.
+// Fleet path: the obs-on==obs-off bit-identity re-assert for the fleet,
+// with half the streams remote so routed reads run through the observed
+// domains, and the engine's exported counters reconcile with its stats.
 TEST(ObservabilityTest, FleetObservedRunMatchesUnobservedExactly) {
   FleetOptions options;
   options.domains = 3;
   options.sim_threads = 2;
   options.streams_per_domain = 64;
   options.remote_fraction = 0.5;
-  options.mailbox_capacity = 1;
   options.workload = ShortWorkload(5 * kMillisecond);
 
   FleetOptions observed = options;
@@ -161,12 +160,11 @@ TEST(ObservabilityTest, FleetObservedRunMatchesUnobservedExactly) {
   const FleetResults on = RunFleet(observed);
 
   EXPECT_EQ(off.Fingerprint(), on.Fingerprint());
+  EXPECT_GT(on.remote_served, 0u);
   EXPECT_EQ(off.engine.windows, on.engine.windows);
   EXPECT_EQ(off.engine.delivered_messages, on.engine.delivered_messages);
   EXPECT_EQ(off.engine.mailbox_spills, on.engine.mailbox_spills);
   EXPECT_EQ(off.engine.max_mailbox_occupancy, on.engine.max_mailbox_occupancy);
-  EXPECT_GT(on.engine.delivered_messages, 0u);
-  EXPECT_GT(on.engine.mailbox_spills, 0u);
 
   // Every domain's snapshot carries the fleet-wide engine counters, and
   // they reconcile exactly with the engine's own stats.
@@ -180,7 +178,6 @@ TEST(ObservabilityTest, FleetObservedRunMatchesUnobservedExactly) {
         FindMetric(results, "sim", "max_mailbox_occupancy");
     ASSERT_NE(occupancy, nullptr);
     EXPECT_EQ(occupancy->count, on.engine.max_mailbox_occupancy);
-    EXPECT_GT(occupancy->count, 0u);
     const MetricSample* windows = FindMetric(results, "sim", "engine_windows");
     ASSERT_NE(windows, nullptr);
     EXPECT_EQ(windows->count, on.engine.windows);

@@ -78,7 +78,6 @@ void PrintUsage(std::FILE* out) {
 
 
 constexpr dmasim::FlagParser kFlags("dmasim_check");
-constexpr int kMaxInt = std::numeric_limits<int>::max();
 constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
 int Fail(const std::string& message) {
@@ -240,31 +239,31 @@ int main(int argc, char** argv) {
       }
       config.chip_model = *kind;
     } else if (arg == "--mu") {
-      config.mu = kFlags.Real(arg, number(), 0.0, kMaxCheckMu);
+      config.mu = kFlags.Real(arg, number(), check_range::kMu);
     } else if (arg == "--chips") {
-      config.chips = kFlags.Integer(arg, number(), 1, kMaxCheckChips);
+      config.chips = kFlags.Integer(arg, number(), check_range::kChips);
     } else if (arg == "--buses") {
-      config.buses = kFlags.Integer(arg, number(), 1, kMaxCheckBuses);
+      config.buses = kFlags.Integer(arg, number(), check_range::kBuses);
     } else if (arg == "--k") {
-      config.k = kFlags.Integer(arg, number(), 1, kMaxCheckBuses);
+      config.k = kFlags.Integer(arg, number(), check_range::kK);
     } else if (arg == "--depth") {
-      config.max_depth = kFlags.Integer(arg, number(), 1, kMaxInt);
+      config.max_depth = kFlags.Integer(arg, number(), check_range::kDepth);
     } else if (arg == "--arrivals") {
       config.max_arrivals =
-          kFlags.Integer(arg, number(), 1, kMaxCheckArrivals);
+          kFlags.Integer(arg, number(), check_range::kArrivals);
     } else if (arg == "--cpu") {
-      config.max_cpu_accesses = kFlags.Integer(arg, number(), 0, kMaxInt);
+      config.max_cpu_accesses =
+          kFlags.Integer(arg, number(), check_range::kCpuAccesses);
     } else if (arg == "--epochs") {
-      config.max_epochs = kFlags.Integer(arg, number(), 0, kMaxInt);
+      config.max_epochs = kFlags.Integer(arg, number(), check_range::kEpochs);
     } else if (arg == "--t-request") {
-      config.t_request =
-          kFlags.Integer(arg, number(), dmasim::Tick{1}, kMaxCheckTicks);
+      config.t_request = kFlags.Integer(arg, number(), check_range::kTicks);
     } else if (arg == "--transfer-requests") {
-      config.transfer_requests = kFlags.Integer(
-          arg, number(), std::int64_t{1}, kMaxCheckTransferRequests);
+      config.transfer_requests =
+          kFlags.Integer(arg, number(), check_range::kTransferRequests);
     } else if (arg == "--epoch-length") {
       config.epoch_length =
-          kFlags.Integer(arg, number(), dmasim::Tick{1}, kMaxCheckTicks);
+          kFlags.Integer(arg, number(), check_range::kTicks);
     } else if (arg == "--max-states") {
       max_states = kFlags.Integer(arg, number(), std::uint64_t{1}, kMaxU64);
     } else if (arg == "--shard-shards") {

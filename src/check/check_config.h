@@ -12,9 +12,11 @@
 #define DMASIM_CHECK_CHECK_CONFIG_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "mem/chip_power_model.h"
+#include "util/parse_number.h"
 #include "util/time.h"
 
 namespace dmasim::check {
@@ -50,6 +52,43 @@ inline constexpr int kMaxCheckArrivals = 16;
 inline constexpr double kMaxCheckMu = 1e3;
 inline constexpr std::int64_t kMaxCheckTransferRequests = 1000;
 inline constexpr Tick kMaxCheckTicks = kSecond;
+// A processor access never spans more than one 8 KiB page; the bound
+// keeps its service time far inside the tick range.
+inline constexpr std::int64_t kMaxCheckCpuAccessBytes = 8192;
+
+// The domain of every numeric CheckerConfig field, written once and read
+// by both of dmasim_check's inputs: its flags and the `key value` lines
+// of --seed-config and --replay files (counterexample.cc). Fields without
+// a flag take the harness's preconditions (aligner, slack account,
+// harness), bounded above where a larger value would overflow.
+namespace check_range {
+inline constexpr NumericRange<int> kChips{1, kMaxCheckChips};
+inline constexpr NumericRange<int> kBuses{1, kMaxCheckBuses};
+inline constexpr NumericRange<int> kK{1, kMaxCheckBuses};
+// At least 1 (the aligner); a gather depth past kMaxCheckArrivals
+// requests can never fill.
+inline constexpr NumericRange<double> kGatherDepthFactor{
+    1.0, static_cast<double>(kMaxCheckArrivals)};
+inline constexpr NumericRange<int> kArrivals{1, kMaxCheckArrivals};
+inline constexpr NumericRange<int> kCpuAccesses{
+    0, std::numeric_limits<int>::max()};
+inline constexpr NumericRange<int> kEpochs{0,
+                                           std::numeric_limits<int>::max()};
+inline constexpr NumericRange<int> kDepth{1, std::numeric_limits<int>::max()};
+inline constexpr NumericRange<double> kMu{0.0, kMaxCheckMu};
+inline constexpr NumericRange<Tick> kTicks{1, kMaxCheckTicks};
+inline constexpr NumericRange<std::int64_t> kTransferRequests{
+    1, kMaxCheckTransferRequests};
+// Positive (the slack account): the smallest positive double up.
+inline constexpr NumericRange<double> kSlackCapRequests{
+    std::numeric_limits<double>::denorm_min(),
+    std::numeric_limits<double>::max()};
+// A gating floor is a duration; below 0 it means what 0 means.
+inline constexpr NumericRange<Tick> kMinGatingBudget{
+    0, std::numeric_limits<Tick>::max()};
+inline constexpr NumericRange<std::int64_t> kCpuAccessBytes{
+    1, kMaxCheckCpuAccessBytes};
+}  // namespace check_range
 
 struct CheckerConfig {
   // Topology, at most kMaxCheckChips x kMaxCheckBuses.

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "check/explorer.h"
 #include "check/minimizer.h"
@@ -51,68 +52,90 @@ void AppendConfig(const CheckerConfig& config, std::ostringstream* out) {
        << "chip_model " << ChipModelKindName(config.chip_model) << '\n';
 }
 
+// Parses a numeric key's value over the whole string, inside the range
+// its flag uses (check_config.h).
+template <typename T>
+bool ApplyNumber(const std::string& key, const std::string& value,
+                 NumericRange<T> range, T* field, std::string* what) {
+  bool ok = false;
+  if constexpr (std::is_integral_v<T>) {
+    ok = ParseInteger(value, range, field);
+  } else {
+    ok = ParseReal(value, range, field);
+  }
+  if (!ok) {
+    *what = "malformed value \"" + value + "\" for key \"" + key +
+            "\": expected " +
+            (std::is_integral_v<T> ? "an integer" : "a finite number") +
+            " in [" + FormatBound(range.lo) + ", " + FormatBound(range.hi) +
+            "]";
+  }
+  return ok;
+}
+
 // Applies one "key value" configuration line; returns false with a
-// message when the key is unknown or the value malformed.
+// message when the key is unknown or the value malformed or out of its
+// range.
 bool ApplyConfigLine(const std::string& key, const std::string& value,
                      CheckerConfig* config, std::string* what) {
-  std::istringstream stream(value);
-  bool ok = false;
+  namespace range = check_range;
   if (key == "chips") {
-    ok = static_cast<bool>(stream >> config->chips);
+    return ApplyNumber(key, value, range::kChips, &config->chips, what);
   } else if (key == "buses") {
-    ok = static_cast<bool>(stream >> config->buses);
+    return ApplyNumber(key, value, range::kBuses, &config->buses, what);
   } else if (key == "k") {
-    ok = static_cast<bool>(stream >> config->k);
+    return ApplyNumber(key, value, range::kK, &config->k, what);
   } else if (key == "gather_depth_factor") {
-    ok = static_cast<bool>(stream >> config->gather_depth_factor);
+    return ApplyNumber(key, value, range::kGatherDepthFactor,
+                       &config->gather_depth_factor, what);
   } else if (key == "max_arrivals") {
-    ok = static_cast<bool>(stream >> config->max_arrivals);
+    return ApplyNumber(key, value, range::kArrivals, &config->max_arrivals,
+                       what);
   } else if (key == "max_cpu_accesses") {
-    ok = static_cast<bool>(stream >> config->max_cpu_accesses);
+    return ApplyNumber(key, value, range::kCpuAccesses,
+                       &config->max_cpu_accesses, what);
   } else if (key == "max_epochs") {
-    ok = static_cast<bool>(stream >> config->max_epochs);
+    return ApplyNumber(key, value, range::kEpochs, &config->max_epochs, what);
   } else if (key == "max_depth") {
-    ok = static_cast<bool>(stream >> config->max_depth);
+    return ApplyNumber(key, value, range::kDepth, &config->max_depth, what);
   } else if (key == "mu") {
-    ok = static_cast<bool>(stream >> config->mu);
+    return ApplyNumber(key, value, range::kMu, &config->mu, what);
   } else if (key == "t_request") {
-    ok = static_cast<bool>(stream >> config->t_request);
+    return ApplyNumber(key, value, range::kTicks, &config->t_request, what);
   } else if (key == "transfer_requests") {
-    ok = static_cast<bool>(stream >> config->transfer_requests);
+    return ApplyNumber(key, value, range::kTransferRequests,
+                       &config->transfer_requests, what);
   } else if (key == "epoch_length") {
-    ok = static_cast<bool>(stream >> config->epoch_length);
+    return ApplyNumber(key, value, range::kTicks, &config->epoch_length,
+                       what);
   } else if (key == "slack_cap_requests") {
-    ok = static_cast<bool>(stream >> config->slack_cap_requests);
+    return ApplyNumber(key, value, range::kSlackCapRequests,
+                       &config->slack_cap_requests, what);
   } else if (key == "min_gating_budget") {
-    ok = static_cast<bool>(stream >> config->min_gating_budget);
+    return ApplyNumber(key, value, range::kMinGatingBudget,
+                       &config->min_gating_budget, what);
   } else if (key == "cpu_access_bytes") {
-    ok = static_cast<bool>(stream >> config->cpu_access_bytes);
+    return ApplyNumber(key, value, range::kCpuAccessBytes,
+                       &config->cpu_access_bytes, what);
   } else if (key == "policy") {
-    ok = ParseCheckPolicy(value, &config->policy);
-    if (!ok) {
+    if (!ParseCheckPolicy(value, &config->policy)) {
       *what = "unknown policy \"" + value + "\"";
       return false;
     }
   } else if (key == "fault") {
-    ok = ParseCheckFault(value, &config->fault);
-    if (!ok) {
+    if (!ParseCheckFault(value, &config->fault)) {
       *what = "unknown fault \"" + value + "\"";
       return false;
     }
   } else if (key == "chip_model") {
     const std::optional<ChipModelKind> kind = ParseChipModelKind(value);
-    ok = kind.has_value();
-    if (!ok) {
+    if (!kind.has_value()) {
       *what = "unknown chip_model \"" + value + "\"";
       return false;
     }
     config->chip_model = *kind;
   } else {
     *what = "unknown key \"" + key + "\"";
-    return false;
-  }
-  if (!ok) {
-    *what = "malformed value \"" + value + "\" for key \"" + key + "\"";
     return false;
   }
   return true;

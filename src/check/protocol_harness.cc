@@ -281,7 +281,7 @@ void ProtocolHarness::DoAdvance() {
   now_ = target;
 
   if (epochs_done_ < config_.max_epochs && now_ == next_epoch_) {
-    const std::vector<int> to_release = aligner_.OnEpoch(now_);
+    const std::vector<int>& to_release = aligner_.OnEpoch(now_);
     ++epochs_done_;
     next_epoch_ += config_.epoch_length;
     for (const int chip : to_release) {
@@ -312,7 +312,8 @@ void ProtocolHarness::DoAdvance() {
 }
 
 void ProtocolHarness::Release(int chip) {
-  std::vector<GatedRequest> taken = aligner_.TakeGated(chip);
+  std::vector<GatedRequest>& taken = released_;
+  aligner_.TakeGated(chip, &taken);
   DMASIM_CHECK(!taken.empty());
   PowerFsm& fsm = fsms_[static_cast<std::size_t>(chip)];
   if (fsm.state() != PowerState::kActive) {

@@ -155,6 +155,7 @@ class ProtocolHarness {
   std::unique_ptr<LowPowerPolicy> policy_;
 
   TemporalAligner aligner_;
+  std::vector<GatedRequest> released_;  // TakeGated's buffer.
   std::vector<PowerFsm> fsms_;
 
   InvariantAuditor auditor_;  // kCollect; registry of the properties.

@@ -120,6 +120,7 @@ std::uint64_t MemoryController::StartDmaTransfer(int bus,
   transfer->total_bytes = bytes;
   transfer->start_time = simulator_->Now();
   transfer->on_complete = std::move(on_complete);
+  if (monitor_ != nullptr) started_since_probe_.push_back(transfer);
 
   popularity_.Record(logical_page);
   ++stats_.transfers_started;
@@ -223,7 +224,11 @@ void MemoryController::ForwardChunk(DmaTransfer* transfer,
 }
 
 void MemoryController::ReleaseChip(int chip_index, ReleaseCause cause) {
-  std::vector<GatedRequest> gated = aligner_->TakeGated(chip_index);
+  // A release forwards chunks, and chips serve them and buses issue the
+  // next only from later events, so ReleaseChip never re-enters and one
+  // buffer serves every release.
+  std::vector<GatedRequest>& gated = released_;
+  aligner_->TakeGated(chip_index, &gated);
   if (gated.empty()) return;
   if (obs_.tracer != nullptr) {
     obs_.tracer->Release(simulator_->Now(), chip_index,
@@ -459,7 +464,7 @@ void MemoryController::ScheduleEpoch() {
   simulator_->ScheduleAfter(config_.dma.ta.epoch_length, [this]() {
     // Epoch accounting reads the slack account and may release chips.
     SettleAllRuns(simulator_->Now());
-    const std::vector<int> to_release = aligner_->OnEpoch(simulator_->Now());
+    const std::vector<int>& to_release = aligner_->OnEpoch(simulator_->Now());
     for (std::size_t i = 0; i < to_release.size(); ++i) {
       ReleaseChip(to_release[i], aligner_->last_epoch_causes()[i]);
     }
@@ -492,17 +497,28 @@ void MemoryController::ArmMonitorProbe() {
     simulator_->UncountExecuted();
     // Occupancy probe: attribute each in-flight transfer not yet seen by
     // an earlier probe to its region (edge-triggered; see DmaTransfer).
-    // Invisible to the simulated hardware, so coalesced runs need no
-    // settling — the kernel's pending-event horizon guarantees that any
-    // transfer completing before this event has already been released,
-    // and a mid-run descriptor's page/chip fields are stable. Afterwards
-    // every in-flight transfer is seen, so nothing re-arms until the
-    // next transfer starts.
-    pool_.ForEachActive([this](DmaTransfer& transfer) {
-      if (transfer.monitor_seen) return;
-      transfer.monitor_seen = true;
-      monitor_->ObserveTransfer(transfer.physical_page, transfer.chip_index);
-    });
+    // Every such transfer started since the previous probe, so it is in
+    // started_since_probe_; visiting that list in slab order observes
+    // exactly what a walk over the whole slab would, in the same order.
+    // A descriptor released since its start is skipped, and one recycled
+    // into a new transfer appears twice: the first visit observes and
+    // marks it. Invisible to the simulated hardware, so coalesced runs
+    // need no settling — the kernel's pending-event horizon guarantees
+    // that any transfer completing before this event has already been
+    // released, and a mid-run descriptor's page/chip fields are stable.
+    // Afterwards every in-flight transfer is seen, so nothing re-arms
+    // until the next transfer starts.
+    std::sort(started_since_probe_.begin(), started_since_probe_.end(),
+              [](const DmaTransfer* a, const DmaTransfer* b) {
+                return a->pool_index < b->pool_index;
+              });
+    for (DmaTransfer* transfer : started_since_probe_) {
+      if (!transfer->pool_active || transfer->monitor_seen) continue;
+      transfer->monitor_seen = true;
+      monitor_->ObserveTransfer(transfer->physical_page,
+                                transfer->chip_index);
+    }
+    started_since_probe_.clear();
   });
 }
 

@@ -244,6 +244,11 @@ class MemoryController : public DmaRequestSink {
   std::unique_ptr<RegionMonitor> monitor_;  // Null when disabled.
   // A probe event is pending (armed by a transfer that started unseen).
   bool probe_armed_ = false;
+  // Every transfer started since the last probe, in start order (a
+  // recycled descriptor may appear twice); the probe visits only these.
+  std::vector<DmaTransfer*> started_since_probe_;
+  // The release buffer TemporalAligner::TakeGated swaps into.
+  std::vector<GatedRequest> released_;
 
   TransferPool pool_;
   std::uint64_t next_transfer_id_ = 1;

@@ -13,15 +13,23 @@ TemporalAligner::TemporalAligner(const TemporalAlignmentConfig& config,
       gather_depth_(std::max(
           k, static_cast<int>(config.gather_depth_factor * k + 0.5))),
       slack_(std::max(config.mu, 0.0), t_request, config.slack_cap_requests),
-      gated_(static_cast<std::size_t>(chip_count)) {
+      gated_(static_cast<std::size_t>(chip_count)),
+      summaries_(static_cast<std::size_t>(chip_count)) {
   DMASIM_EXPECTS(chip_count > 0);
   DMASIM_EXPECTS(bus_count > 0);
-  // DistinctBuses/DrainBound index 64-wide per-bus state by bus id; more
-  // buses would silently alias into the same slots and corrupt the
-  // quorum and drain math (see the header's limit note).
+  // See the header's limit note.
   DMASIM_EXPECTS(bus_count <= 64);
   DMASIM_EXPECTS(k > 0);
   DMASIM_EXPECTS(config.gather_depth_factor >= 1.0);
+  pending_per_bus_.assign(static_cast<std::size_t>(chip_count) *
+                              static_cast<std::size_t>(bus_count),
+                          0);
+  // A chip holds at most gather_depth + k requests while its releases
+  // are executed (rule b fires at that depth), so with every list and
+  // release buffer reserved to that, the gate path never allocates.
+  for (std::vector<GatedRequest>& list : gated_) list.reserve(BufferCap());
+  epoch_releases_.reserve(static_cast<std::size_t>(chip_count));
+  last_epoch_causes_.reserve(static_cast<std::size_t>(chip_count));
 }
 
 const char* ReleaseCauseName(ReleaseCause cause) {
@@ -75,6 +83,8 @@ TemporalAligner::GateResult TemporalAligner::Gate(int chip,
   // being buffered) and none served.
   DMASIM_CHECK_EQ(transfer->issued_bytes, chunk_bytes);
   DMASIM_CHECK_EQ(transfer->completed_bytes, 0);
+  const int bus = transfer->bus_id;
+  DMASIM_EXPECTS(bus >= 0 && bus < bus_count_);
   auto& list = gated_[static_cast<std::size_t>(chip)];
   transfer->blocked = true;
   transfer->gated_at = now;
@@ -85,6 +95,14 @@ TemporalAligner::GateResult TemporalAligner::Gate(int chip,
 
   GatedRequest request{transfer, chunk_bytes, now, now + budget};
   list.push_back(request);
+  GateSummary& summary = summaries_[static_cast<std::size_t>(chip)];
+  int& on_bus = pending_per_bus_[static_cast<std::size_t>(chip) *
+                                     static_cast<std::size_t>(bus_count_) +
+                                 static_cast<std::size_t>(bus)];
+  if (on_bus++ == 0) ++summary.distinct_buses;
+  summary.max_per_bus = std::max(summary.max_per_bus, on_bus);
+  summary.earliest_deadline =
+      std::min(summary.earliest_deadline, request.deadline);
   ++total_pending_;
   ++total_gated_;
   buffered_bytes_ += chunk_bytes;
@@ -92,30 +110,9 @@ TemporalAligner::GateResult TemporalAligner::Gate(int chip,
   return GateResult{ShouldRelease(chip, now), request.deadline};
 }
 
-int TemporalAligner::DistinctBuses(int chip) const {
-  const auto& list = gated_[static_cast<std::size_t>(chip)];
-  // Bus counts are small (a handful); a bitmask suffices.
-  std::uint64_t mask = 0;
-  for (const GatedRequest& request : list) {
-    mask |= 1ULL << (request.transfer->bus_id & 63);
-  }
-  int distinct = 0;
-  while (mask != 0) {
-    mask &= mask - 1;
-    ++distinct;
-  }
-  return distinct;
-}
-
 double TemporalAligner::DrainBound(int chip) const {
-  const auto& list = gated_[static_cast<std::size_t>(chip)];
-  // m = max pending-per-bus for this chip.
-  int per_bus[64] = {};
-  int m = 0;
-  for (const GatedRequest& request : list) {
-    const int bus = request.transfer->bus_id & 63;
-    m = std::max(m, ++per_bus[bus]);
-  }
+  // U = m * T * ceil(r / k), m = max pending-per-bus for this chip.
+  const int m = summaries_[static_cast<std::size_t>(chip)].max_per_bus;
   const int groups = (bus_count_ + k_ - 1) / k_;  // ceil(r / k)
   return static_cast<double>(m) * static_cast<double>(slack_.t_request()) *
          static_cast<double>(groups);
@@ -124,8 +121,9 @@ double TemporalAligner::DrainBound(int chip) const {
 bool TemporalAligner::ShouldRelease(int chip, Tick now) const {
   const auto& list = gated_[static_cast<std::size_t>(chip)];
   if (list.empty()) return false;
+  const GateSummary& summary = summaries_[static_cast<std::size_t>(chip)];
   // (a) Full utilization achievable: k distinct buses gathered.
-  if (DistinctBuses(chip) >= k_ &&
+  if (summary.distinct_buses >= k_ &&
       static_cast<int>(list.size()) >= gather_depth_) {
     last_release_was_quorum_ = true;
     last_release_cause_ = ReleaseCause::kQuorum;
@@ -141,11 +139,9 @@ bool TemporalAligner::ShouldRelease(int chip, Tick now) const {
   }
   last_release_was_quorum_ = false;
   // (c) A gated transfer exhausted its own delay budget.
-  for (const GatedRequest& request : list) {
-    if (request.deadline <= now) {
-      last_release_cause_ = ReleaseCause::kDeadline;
-      return true;
-    }
+  if (summary.earliest_deadline <= now) {
+    last_release_cause_ = ReleaseCause::kDeadline;
+    return true;
   }
   // (d) Global guarantee: slack exhausted, or expected queueing delay of
   // the pending requests exceeds the remaining slack.
@@ -162,28 +158,33 @@ bool TemporalAligner::ShouldRelease(int chip, Tick now) const {
   return false;
 }
 
-std::vector<GatedRequest> TemporalAligner::TakeGated(int chip) {
-  auto& list = gated_[static_cast<std::size_t>(chip)];
-  std::vector<GatedRequest> taken = std::move(list);
-  list.clear();
-  total_pending_ -= static_cast<int>(taken.size());
+void TemporalAligner::TakeGated(int chip, std::vector<GatedRequest>* taken) {
+  DMASIM_EXPECTS(taken != nullptr);
+  taken->clear();
+  taken->reserve(BufferCap());  // Once per caller buffer; see the ctor.
+  taken->swap(gated_[static_cast<std::size_t>(chip)]);
+  total_pending_ -= static_cast<int>(taken->size());
   DMASIM_CHECK_GE(total_pending_, 0);
-  for (const GatedRequest& request : taken) {
+  int* per_bus = &pending_per_bus_[static_cast<std::size_t>(chip) *
+                                   static_cast<std::size_t>(bus_count_)];
+  for (const GatedRequest& request : *taken) {
     buffered_bytes_ -= request.chunk_bytes;
+    per_bus[request.transfer->bus_id] = 0;
   }
-  if (!taken.empty()) {
+  summaries_[static_cast<std::size_t>(chip)] = GateSummary{};
+  if (!taken->empty()) {
     if (last_release_was_quorum_) {
       ++released_quorum_;
     } else {
       ++released_slack_;
     }
   }
-  return taken;
 }
 
-std::vector<int> TemporalAligner::OnEpoch(Tick now) {
+const std::vector<int>& TemporalAligner::OnEpoch(Tick now) {
   slack_.DebitEpoch(Ticks(config_.epoch_length), total_pending_);
-  std::vector<int> to_release;
+  std::vector<int>& to_release = epoch_releases_;
+  to_release.clear();
   last_epoch_causes_.clear();
   if (total_pending_ == 0) return to_release;
 

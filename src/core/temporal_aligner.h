@@ -19,14 +19,20 @@
 // The class is passive: `MemoryController` feeds it arrivals, epochs, and
 // CPU accesses, and executes the releases it requests.
 //
-// Limit: at most 64 I/O buses. The distinct-bus quorum and the drain
-// bound track per-bus state in 64-bit masks / fixed arrays indexed by
-// bus id; the constructor enforces `bus_count <= 64` so ids can never
-// alias (the paper's systems have a handful of buses).
+// Each decision costs O(1), not a scan of the chip's gated list: `Gate`
+// folds every new request into a per-chip summary (distinct buses, the
+// most requests pending on one bus, the earliest deadline; the list's
+// length is the count) and `TakeGated` resets it. The lists themselves
+// stay for release order and the protocol checker's introspection.
+//
+// Limit: at most 64 I/O buses, and every gated transfer's bus id is
+// below `bus_count` (the constructor and `Gate` enforce both; the
+// paper's systems have a handful of buses).
 #ifndef DMASIM_CORE_TEMPORAL_ALIGNER_H_
 #define DMASIM_CORE_TEMPORAL_ALIGNER_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/dma_aware_config.h"
@@ -113,14 +119,21 @@ class TemporalAligner {
   }
 
   // Whether `chip`'s gated requests should be released at time `now`.
+  // Reads only the chip's summary (see the file comment).
   bool ShouldRelease(int chip, Tick now) const;
 
-  // Removes and returns the gated requests of `chip` (release).
-  std::vector<GatedRequest> TakeGated(int chip);
+  // Releases `chip`: moves its gated requests, in gating order, into
+  // `*taken` (whose previous contents are dropped) by swapping the two
+  // vectors, and resets the chip's summary. The chip keeps `*taken`'s old
+  // storage for its next gates, so a caller that passes the same buffer
+  // to every release makes the gate path allocation-free after that
+  // buffer's first release.
+  void TakeGated(int chip, std::vector<GatedRequest>* taken);
 
   // Epoch boundary: debits the slack and returns the chips that must be
-  // released as a result.
-  std::vector<int> OnEpoch(Tick now);
+  // released as a result. The list is owned by the aligner and valid
+  // until the next call, like last_epoch_causes().
+  const std::vector<int>& OnEpoch(Tick now);
 
   // A processor access of `service_time` hit `chip`.
   void OnCpuAccess(int chip, Ticks service_time);
@@ -146,9 +159,20 @@ class TemporalAligner {
   }
 
  private:
-  int DistinctBuses(int chip) const;
+  // What the release rule reads of one chip's gated list.
+  struct GateSummary {
+    int distinct_buses = 0;
+    int max_per_bus = 0;  // m: the most requests pending on one bus.
+    Tick earliest_deadline = std::numeric_limits<Tick>::max();
+  };
+
   // Upper bound U on the time to drain the chip's pending requests.
   double DrainBound(int chip) const;
+  // Rule (b)'s depth: the most requests a chip holds when every
+  // release_now is executed.
+  std::size_t BufferCap() const {
+    return static_cast<std::size_t>(gather_depth_ + k_);
+  }
 
   TemporalAlignmentConfig config_;
   int bus_count_;
@@ -157,6 +181,9 @@ class TemporalAligner {
   SlackAccount slack_;
 
   std::vector<std::vector<GatedRequest>> gated_;  // Per chip.
+  std::vector<GateSummary> summaries_;            // Per chip.
+  // Requests pending per (chip, bus), chip-major, bus_count_ per chip.
+  std::vector<int> pending_per_bus_;
   int total_pending_ = 0;
   std::int64_t buffered_bytes_ = 0;
 
@@ -165,6 +192,7 @@ class TemporalAligner {
   // ShouldRelease (mutable because the check is logically const).
   mutable bool last_release_was_quorum_ = false;
   mutable ReleaseCause last_release_cause_ = ReleaseCause::kQuorum;
+  std::vector<int> epoch_releases_;
   std::vector<ReleaseCause> last_epoch_causes_;
   std::uint64_t released_quorum_ = 0;
   std::uint64_t released_slack_ = 0;

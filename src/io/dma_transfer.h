@@ -61,7 +61,8 @@ struct DmaTransfer {
 
   // True while the descriptor is checked out of its TransferPool
   // (maintained by the pool, not Reset). The access monitor's occupancy
-  // probes walk the pool's slabs and must skip free slots.
+  // probe keeps pointers to the transfers started since the last probe
+  // and skips those whose descriptor has been released since.
   bool pool_active = false;
 
   // True once an occupancy probe has attributed this transfer to its
@@ -69,15 +70,23 @@ struct DmaTransfer {
   // the first sampling tick that finds it in flight — because in-flight
   // residency is dominated by bus queueing, and re-counting a queued
   // transfer at every probe would weight pages by congestion rather than
-  // access frequency.
+  // access frequency. It also lets the probe visit a recycled
+  // descriptor listed twice only once.
   bool monitor_seen = false;
+
+  // The descriptor's position in its pool's slabs (slab * 256 + slot),
+  // stamped once when the slab is allocated and kept across reuse. The
+  // probe visits descriptors in this order, the order of the slabs.
+  // 32 bits fit beside the two flags above without growing the struct.
+  std::uint32_t pool_index = 0;
 
   std::int64_t RemainingToIssue() const { return total_bytes - issued_bytes; }
   bool Complete() const { return completed_bytes >= total_bytes; }
   bool FirstChunk() const { return issued_bytes == 0; }
 
   // Re-initializes a recycled descriptor (everything except
-  // `run_generation`; see above).
+  // `run_generation` and the pool's `pool_active` and `pool_index`; see
+  // above).
   void Reset() {
     id = 0;
     bus_id = 0;

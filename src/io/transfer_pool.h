@@ -6,7 +6,9 @@
 // round-trip and a hash probe on the per-transfer hot path. The pool
 // hands out pointers from fixed 256-descriptor slabs through a free
 // list: acquire and release are a pointer pop/push, and descriptors are
-// stable in memory so callbacks can capture them directly.
+// stable in memory so callbacks can capture them directly. `Grow` stamps
+// each new descriptor with its slab position (`DmaTransfer::pool_index`),
+// which is how the access monitor's probe orders what it visits.
 #ifndef DMASIM_IO_TRANSFER_POOL_H_
 #define DMASIM_IO_TRANSFER_POOL_H_
 
@@ -49,27 +51,6 @@ class TransferPool {
 
   std::uint64_t ActiveCount() const { return active_; }
 
-  // Visits every checked-out descriptor in slab order (deterministic:
-  // slabs and slots are visited by allocation order, independent of the
-  // free-list state). This is the access monitor's occupancy probe, run
-  // once per armed sampling tick. The free list hands out a slot past
-  // the peak in-flight count only when every earlier slot is in use, so
-  // the walk stops at the last active descriptor after at most that many
-  // slots (a few dozen at the paper's intensities). Non-const so the
-  // probe can mark descriptors seen; `fn` must not acquire or release.
-  template <typename Fn>
-  void ForEachActive(Fn&& fn) {
-    std::uint64_t left = active_;
-    for (const std::unique_ptr<DmaTransfer[]>& block : blocks_) {
-      for (std::size_t i = 0; i < kBlockSize && left > 0; ++i) {
-        if (block[i].pool_active) {
-          --left;
-          fn(block[i]);
-        }
-      }
-    }
-  }
-
  private:
   static constexpr std::size_t kBlockSize = 256;
 
@@ -78,6 +59,11 @@ class TransferPool {
     // descriptors from free_.  dmasim-lint: allow(heap-alloc)
     blocks_.push_back(std::make_unique<DmaTransfer[]>(kBlockSize));
     DmaTransfer* block = blocks_.back().get();
+    const std::size_t first = (blocks_.size() - 1) * kBlockSize;
+    DMASIM_CHECK_LE(first + kBlockSize, std::size_t{UINT32_MAX});
+    for (std::size_t i = 0; i < kBlockSize; ++i) {
+      block[i].pool_index = static_cast<std::uint32_t>(first + i);
+    }
     free_.reserve(free_.size() + kBlockSize);
     for (std::size_t i = kBlockSize; i > 0; --i) {
       free_.push_back(&block[i - 1]);

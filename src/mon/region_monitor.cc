@@ -156,32 +156,37 @@ const std::vector<ChipDemotion>& RegionMonitor::Aggregate() {
       stats_.aggregations %
               static_cast<std::uint64_t>(config_.age_shift_period) ==
           0;
-  for (MonitorRegion& region : regions_) {
-    if (region.age < UINT32_MAX) ++region.age;
-    if (shift) region.hits >>= 1;
-  }
-
-  MergeColdNeighbours();
+  AgeAndMergeColdNeighbours(shift);
   ApplyChipRules();
   return chips_to_demote_;
 }
 
-void RegionMonitor::MergeColdNeighbours() {
-  if (regions_.size() <= static_cast<std::size_t>(config_.min_regions)) {
-    return;
-  }
-  // Single compaction pass: absorb each region into its left neighbour
-  // while both are cold per page and the floor allows. Density (floored)
-  // is the cold test — wide regions accumulate scattered samples in
-  // proportion to their width, so an absolute-counter test would stop
-  // merging anything long before the budget fills.
+void RegionMonitor::AgeAndMergeColdNeighbours(bool shift) {
+  const auto age = [shift](MonitorRegion& region) {
+    if (region.age < UINT32_MAX) ++region.age;
+    if (shift) region.hits >>= 1;
+  };
+  // Single compaction pass: age each region, then absorb it into its
+  // left neighbour while both are cold per page and the floor allows.
+  // Density (floored) is the cold test — wide regions accumulate
+  // scattered samples in proportion to their width, so an
+  // absolute-counter test would stop merging anything long before the
+  // budget fills. Each region's coldness is tested once: a merge of two
+  // cold regions is cold (h_a < c*s_a and h_b < c*s_b give h_a + h_b <
+  // c*(s_a + s_b), PinnedAdd only lowers the sum, and a region too wide
+  // for the exact test is cold outright), so the left flag carries over.
+  const std::size_t min_regions =
+      static_cast<std::size_t>(config_.min_regions);
   std::size_t count = regions_.size();
   std::size_t write = 0;
+  age(regions_[0]);
+  bool left_cold = ColdPerPage(regions_[0]);
   for (std::size_t read = 1; read < regions_.size(); ++read) {
     MonitorRegion& left = regions_[write];
-    const MonitorRegion& right = regions_[read];
-    if (ColdPerPage(left) && ColdPerPage(right) &&
-        count > static_cast<std::size_t>(config_.min_regions)) {
+    MonitorRegion right = regions_[read];
+    age(right);
+    const bool right_cold = ColdPerPage(right);
+    if (left_cold && right_cold && count > min_regions) {
       left.end = right.end;
       left.hits = PinnedAdd(left.hits, right.hits);
       left.age = std::min(left.age, right.age);
@@ -190,6 +195,7 @@ void RegionMonitor::MergeColdNeighbours() {
     } else {
       ++write;
       regions_[write] = right;
+      left_cold = right_cold;
     }
   }
   regions_.resize(write + 1);

@@ -3,10 +3,11 @@
 // Why not accessed-bit sampling: dmasim's workloads drive tens of DMA
 // transfers per millisecond across ~10^5 pages, so any per-page presence
 // check observes almost nothing. Instead the monitor runs *occupancy
-// probes*: at a sampling tick it walks the in-flight DMA transfer
-// descriptors (a few dozen at the paper's intensities, since queueing
-// keeps transfers checked out far longer than their service time) and
-// attributes one hit to the region containing each transfer's page.
+// probes*: at a sampling tick the controller visits the in-flight DMA
+// transfers no probe has seen yet (those started since the previous
+// probe; queueing keeps transfers checked out far longer than their
+// service time) and attributes one hit to the region containing each
+// transfer's page.
 // Observation is edge-triggered — a transfer counts once, at the first
 // probe that finds it in flight — so counters estimate access frequency
 // rather than queue residency; transfers shorter than the sampling
@@ -105,10 +106,10 @@ class RegionMonitor {
 
   // --- Aggregation (called from the controller's aggregation event) ------
 
-  // Ages regions, merges cold neighbours back under the budget, applies
-  // the chip-level (demote-chip) rules. Returns the demotions (chip +
-  // depth) the schemes want; the caller owns the actual power
-  // transition and reports back via NoteDemotionApplied().
+  // Ages regions and merges cold neighbours back under the budget in one
+  // pass, then applies the chip-level (demote-chip) rules. Returns the
+  // demotions (chip + depth) the schemes want; the caller owns the
+  // actual power transition and reports back via NoteDemotionApplied().
   const std::vector<ChipDemotion>& Aggregate();
   void NoteDemotionApplied() { ++stats_.demotions_applied; }
 
@@ -162,7 +163,9 @@ class RegionMonitor {
     return region.size() > cold_exact_size_ ||
            region.hits < cold_hits_per_page_ * region.size();
   }
-  void MergeColdNeighbours();
+  // The aggregation pass: ages every region (halving its hits when
+  // `shift`) and merges cold neighbours back under the budget.
+  void AgeAndMergeColdNeighbours(bool shift);
   void ApplyChipRules();
 
   MonitorConfig config_;

@@ -6,16 +6,12 @@
 #ifndef DMASIM_UTIL_CLI_FLAGS_H_
 #define DMASIM_UTIL_CLI_FLAGS_H_
 
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <string_view>
-#include <system_error>
-#include <type_traits>
 
+#include "util/parse_number.h"
 #include "util/time.h"
 
 namespace dmasim {
@@ -49,13 +45,14 @@ class FlagParser {
   template <typename Int>
   Int Integer(std::string_view flag, std::string_view text, Int lo,
               Int hi) const {
-    static_assert(std::is_integral_v<Int>);
+    return Integer(flag, text, NumericRange<Int>{lo, hi});
+  }
+  template <typename Int>
+  Int Integer(std::string_view flag, std::string_view text,
+              NumericRange<Int> range) const {
     Int value{};
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc() || ptr != end || value < lo || value > hi) {
-      Reject(flag, text, "an integer", std::to_string(lo),
-             std::to_string(hi));
+    if (!ParseInteger(text, range, &value)) {
+      Reject(flag, text, "an integer", range);
     }
     return value;
   }
@@ -63,12 +60,13 @@ class FlagParser {
   // A finite real in [lo, hi].
   double Real(std::string_view flag, std::string_view text, double lo,
               double hi) const {
+    return Real(flag, text, NumericRange<double>{lo, hi});
+  }
+  double Real(std::string_view flag, std::string_view text,
+              NumericRange<double> range) const {
     double value = 0.0;
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
-        value < lo || value > hi) {
-      Reject(flag, text, "a finite number", Format(lo), Format(hi));
+    if (!ParseReal(text, range, &value)) {
+      Reject(flag, text, "a finite number", range);
     }
     return value;
   }
@@ -81,17 +79,12 @@ class FlagParser {
   }
 
  private:
+  template <typename T>
   [[noreturn]] void Reject(std::string_view flag, std::string_view text,
-                           const char* kind, const std::string& lo,
-                           const std::string& hi) const {
-    Fail(std::string(flag) + ": expected " + kind + " in [" + lo + ", " +
-         hi + "], got '" + std::string(text) + "'");
-  }
-
-  static std::string Format(double value) {
-    std::ostringstream out;
-    out << value;
-    return out.str();
+                           const char* kind, NumericRange<T> range) const {
+    Fail(std::string(flag) + ": expected " + kind + " in [" +
+         FormatBound(range.lo) + ", " + FormatBound(range.hi) + "], got '" +
+         std::string(text) + "'");
   }
 
   const char* program_;

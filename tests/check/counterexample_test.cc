@@ -4,6 +4,9 @@
 // replay suite re-executes).
 #include "check/counterexample.h"
 
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "check/check_config.h"
@@ -83,6 +86,64 @@ TEST(CounterexampleTest, UnknownKeyIsRejectedWithLineNumber) {
   EXPECT_FALSE(ParseCounterexampleText(text, &parsed, &error));
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
   EXPECT_NE(error.find("chps"), std::string::npos) << error;
+}
+
+TEST(CounterexampleTest, NumericValuesParseStrictlyInsideTheFlagRanges) {
+  // Each line replaces the fixture's own value for its key, on the same
+  // line; the whole value must be one number inside the key's range.
+  const char* const hostile[] = {
+      "chips 2abc",          "chips 0",
+      "chips 9",             "buses 200",
+      "k 0",                 "mu -3",
+      "mu nan",              "mu 1e9",
+      "transfer_requests 100000000",
+      "t_request 0",         "epoch_length 1.5",
+      "max_arrivals 17",     "max_depth 0",
+      "max_cpu_accesses -1", "max_epochs 4294967296",
+      "gather_depth_factor 0.5",
+      "slack_cap_requests 0",
+      "min_gating_budget -1",
+      "cpu_access_bytes 0",  "cpu_access_bytes 8193",
+      "chips 2 ",            "mu  ",
+  };
+  const std::string text = FormatCounterexample(ResyncCounterexample());
+  for (const char* line : hostile) {
+    const std::string entry(line);
+    const std::string key = entry.substr(0, entry.find(' '));
+    const std::size_t at = text.find("\n" + key + " ");
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::size_t end = text.find('\n', at + 1);
+    std::string edited = text;
+    edited.replace(at + 1, end - at - 1, entry);
+    const int line_number =
+        1 + static_cast<int>(std::count(text.begin(),
+                                        text.begin() + static_cast<long>(at) +
+                                            1,
+                                        '\n'));
+    Counterexample parsed;
+    std::string error;
+    EXPECT_FALSE(ParseCounterexampleText(edited, &parsed, &error)) << entry;
+    EXPECT_NE(error.find("line " + std::to_string(line_number) + ":"),
+              std::string::npos)
+        << entry << ": " << error;
+    EXPECT_NE(error.find("\"" + key + "\""), std::string::npos)
+        << entry << ": " << error;
+  }
+  // The ends of each range are accepted.
+  for (const char* line : {"chips 1", "chips 4", "mu 0", "mu 1000",
+                           "transfer_requests 1000", "cpu_access_bytes 8192",
+                           "gather_depth_factor 16", "min_gating_budget 0"}) {
+    const std::string entry(line);
+    const std::string key = entry.substr(0, entry.find(' '));
+    const std::size_t at = text.find("\n" + key + " ");
+    const std::size_t end = text.find('\n', at + 1);
+    std::string edited = text;
+    edited.replace(at + 1, end - at - 1, entry);
+    Counterexample parsed;
+    std::string error;
+    EXPECT_TRUE(ParseCounterexampleText(edited, &parsed, &error))
+        << entry << ": " << error;
+  }
 }
 
 TEST(CounterexampleTest, MalformedActionIsRejected) {

@@ -1,6 +1,7 @@
-# Runs one command-line tool with a hostile flag value and passes only if
-# the tool rejects it as a usage error: exit status 2 and a message on
-# stderr that names the flag ("<program>: <FLAG>: ...").
+# Runs one command-line tool with a hostile flag value (or input file) and
+# passes only if the tool rejects it as a usage error: exit status 2 and a
+# message on stderr that names the flag ("<program>: <FLAG>: ...") or the
+# file's line ("<program>: <file>: line N: ...", FLAG=line N).
 #
 #   cmake -DFLAG=<flag> -P cli_usage_error.cmake -- <program> [args...]
 set(command)

@@ -85,7 +85,8 @@ TEST(TemporalAlignerTest, QuorumFromDistinctBusesReleases) {
   EXPECT_FALSE(CreditAndGate(aligner, 0, &t1, 512, 10).release_now);
   EXPECT_TRUE(CreditAndGate(aligner, 0, &t2, 512, 20).release_now);
 
-  const auto taken = aligner.TakeGated(0);
+  std::vector<GatedRequest> taken;
+  aligner.TakeGated(0, &taken);
   EXPECT_EQ(taken.size(), 3u);
   EXPECT_EQ(aligner.TotalPending(), 0);
   EXPECT_EQ(aligner.ReleasedByQuorum(), 1u);
@@ -193,13 +194,48 @@ TEST(TemporalAlignerTest, TakeGatedClearsBuffer) {
   DmaTransfer t1 = MakeTransfer(2, 1);
   CreditAndGate(aligner, 0, &t0, 512, 0);
   CreditAndGate(aligner, 0, &t1, 512, 5);
-  const auto taken = aligner.TakeGated(0);
+  // The buffer's old contents are dropped, not appended to.
+  DmaTransfer stale = MakeTransfer(99, 2);
+  std::vector<GatedRequest> taken = {GatedRequest{&stale, 512, 0, 0}};
+  aligner.TakeGated(0, &taken);
   ASSERT_EQ(taken.size(), 2u);
   EXPECT_EQ(taken[0].transfer->id, 1u);
   EXPECT_EQ(taken[0].gated_at, 0);
   EXPECT_EQ(taken[1].gated_at, 5);
   EXPECT_FALSE(aligner.HasGated(0));
-  EXPECT_TRUE(aligner.TakeGated(0).empty());
+  aligner.TakeGated(0, &taken);
+  EXPECT_TRUE(taken.empty());
+}
+
+TEST(TemporalAlignerTest, ReleasesReuseTheirBuffers) {
+  // Once a chip and the caller's buffer have both held a release, further
+  // gates and releases move storage between them instead of allocating.
+  TemporalAligner aligner(EnabledConfig(), 4, 3, 3, kT);
+  std::vector<DmaTransfer> transfers;
+  for (int i = 0; i < 8; ++i) transfers.push_back(MakeTransfer(i + 1, i % 2));
+  std::vector<GatedRequest> taken;
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 4; ++i) {
+      CreditAndGate(aligner, 1, &transfers[static_cast<std::size_t>(
+                                    round * 4 + i)], 512, round);
+    }
+    aligner.TakeGated(1, &taken);
+    ASSERT_EQ(taken.size(), 4u);
+  }
+  const GatedRequest* buffers[2] = {taken.data(),
+                                    aligner.GatedFor(1).data()};
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 4; ++i) {
+      DmaTransfer& transfer = transfers[static_cast<std::size_t>(i)];
+      transfer.issued_bytes = 0;
+      CreditAndGate(aligner, 1, &transfer, 512, 10 + round);
+    }
+    aligner.TakeGated(1, &taken);
+    ASSERT_EQ(taken.size(), 4u);
+    EXPECT_EQ(taken.data(), buffers[(round + 1) % 2]) << "round " << round;
+    EXPECT_EQ(aligner.GatedFor(1).data(), buffers[round % 2])
+        << "round " << round;
+  }
 }
 
 TEST(TemporalAlignerTest, GatherDepthFactorDeepensQuorum) {

@@ -202,35 +202,32 @@ TEST(IoBusChunkConfigTest, PciXDefaultsTwelveCyclesPerEightBytes) {
   EXPECT_EQ(bus.chunk_bytes(), 8);
 }
 
-TEST(TransferPoolTest, ForEachActiveVisitsEveryActiveDescriptorInSlabOrder) {
-  // 300 descriptors span two 256-descriptor slabs; release every third
-  // one plus a tail so the active set has holes in both slabs.
+TEST(TransferPoolTest, PoolIndexFollowsSlabOrderAndSurvivesReuse) {
+  // 300 descriptors span two 256-descriptor slabs. A fresh pool hands
+  // out slots in slab order, so the i-th acquisition sits at position i.
   TransferPool pool;
   std::vector<DmaTransfer*> acquired;
   for (std::uint64_t i = 0; i < 300; ++i) {
     acquired.push_back(pool.Acquire());
-    acquired.back()->id = i;
+    EXPECT_EQ(acquired.back()->pool_index, i);
   }
-  std::vector<std::uint64_t> expected;
+  // Release every third descriptor in both slabs; reuse takes the most
+  // recently released one first, and every descriptor keeps its index.
+  for (std::uint64_t i = 0; i < 300; i += 3) pool.Release(acquired[i]);
+  for (std::uint64_t i = 297;; i -= 3) {
+    DmaTransfer* reused = pool.Acquire();
+    EXPECT_EQ(reused, acquired[i]);
+    EXPECT_EQ(reused->pool_index, i);
+    if (i == 0) break;
+  }
   for (std::uint64_t i = 0; i < 300; ++i) {
-    if (i % 3 == 0 || i >= 290) {
-      pool.Release(acquired[i]);
-    } else {
-      expected.push_back(i);
-    }
+    EXPECT_EQ(acquired[i]->pool_index, i);
   }
-  // Reuse takes the most recently released descriptor (slot 299) and
-  // visits it at its slab position.
-  DmaTransfer* reused = pool.Acquire();
-  EXPECT_EQ(reused, acquired[299]);
-  reused->id = 1000;
-  expected.push_back(1000);
-
-  std::vector<std::uint64_t> visited;
-  pool.ForEachActive(
-      [&visited](DmaTransfer& transfer) { visited.push_back(transfer.id); });
-  EXPECT_EQ(visited, expected);
-  EXPECT_EQ(visited.size(), pool.ActiveCount());
+  // A third slab continues the numbering.
+  DmaTransfer* next = nullptr;
+  for (int i = 0; i < 213; ++i) next = pool.Acquire();
+  EXPECT_EQ(next->pool_index, 512u);
+  EXPECT_EQ(pool.ActiveCount(), 513u);
 }
 
 }  // namespace

@@ -10,10 +10,12 @@
 # GCC build at the repository root (the ctest entries are GCC-only, like
 # the pinned sweep checksum):
 #
-#   DMASIM_FAST=1 ./build/bench/bench_fig5_savings_vs_cplimit \
-#       > tests/golden/fig5_fast.txt
-#   DMASIM_FAST=1 ./build/bench/bench_fig9_cpu_accesses \
-#       > tests/golden/fig9_fast.txt
+#   for bench in build/bench/bench_{fig,table}[0-9]*_* \
+#                build/bench/bench_{ablations,ext_dss}; do
+#     name=${bench#build/bench/bench_}
+#     short=$(echo "$name" | grep -oE '^(fig|table)[0-9]+' || echo "$name")
+#     DMASIM_FAST=1 "$bench" > "tests/golden/${short}_fast.txt"
+#   done
 #   ./build/examples/monitor_eval > tests/golden/monitor_eval.txt
 set(command)
 set(after_separator FALSE)

@@ -484,6 +484,48 @@ void SimulationAudit::RegisterStandardInvariants() {
                                 config.pages_per_chip, message);
       });
 
+  // Page migration bills what it counts: every planned move is either
+  // counted (both chips served its last copy chunk) or pending, and the
+  // chips served exactly the counted moves' copies, a page read and a
+  // page write each, plus the part of the pending moves' copies they
+  // reached.
+  auditor_.Register(
+      "work-conservation", AuditPhase::kEndOfRun | AuditPhase::kPeriodic,
+      [this](std::string* message) {
+        const ControllerStats& stats = controller_->stats();
+        const std::uint64_t planned = controller_->MigrationsPlanned();
+        if (stats.migrations + stats.migrations_pending != planned) {
+          *message = Format(
+              "%llu moves planned but %llu counted and %llu pending",
+              static_cast<unsigned long long>(planned),
+              static_cast<unsigned long long>(stats.migrations),
+              static_cast<unsigned long long>(stats.migrations_pending));
+          return false;
+        }
+        std::uint64_t served = 0;
+        for (int i = 0; i < controller_->chip_count(); ++i) {
+          served += controller_->chip(i).stats().migration_bytes;
+        }
+        const auto page_bytes =
+            static_cast<std::uint64_t>(controller_->config().page_bytes);
+        const std::uint64_t pending_served =
+            controller_->PendingMigrationBytesServed();
+        const std::uint64_t expected =
+            2 * page_bytes * stats.migrations + pending_served;
+        if (served == expected) return true;
+        *message = Format(
+            "chips served %llu migration copy bytes, but %llu counted "
+            "moves of 2 x %llu bytes and %llu served bytes of %llu pending "
+            "moves make %llu",
+            static_cast<unsigned long long>(served),
+            static_cast<unsigned long long>(stats.migrations),
+            static_cast<unsigned long long>(page_bytes),
+            static_cast<unsigned long long>(pending_served),
+            static_cast<unsigned long long>(stats.migrations_pending),
+            static_cast<unsigned long long>(expected));
+        return false;
+      });
+
   // DMA-TA lockstep: only the first request of a transfer may be gated,
   // so a transfer never pays the alignment delay twice. (Level 2 also
   // checks the stronger per-chunk form inline in DeliverChunk: after the

@@ -69,6 +69,9 @@ MemoryController::MemoryController(Simulator* simulator,
   }
 
   transfers_per_chip_.assign(static_cast<std::size_t>(config.chips), 0);
+  copies_per_move_ = static_cast<std::uint64_t>(
+      (config.page_bytes + config.chunk_bytes - 1) / config.chunk_bytes);
+  copies_queued_.assign(static_cast<std::size_t>(config.chips), 0);
   run_by_chip_.assign(static_cast<std::size_t>(config.chips), nullptr);
   run_by_bus_.assign(static_cast<std::size_t>(config.bus_count), nullptr);
   // dmasim-lint: allow(heap-alloc) -- one-time construction.
@@ -561,10 +564,20 @@ void MemoryController::RunLayoutInterval() {
   const LayoutPlan plan = layout_.Plan(*runs, page_to_chip_);
   if (!plan.moves.empty()) ++stats_.migration_rounds;
   stats_.deferred_migrations += static_cast<std::uint64_t>(plan.deferred_moves);
+  // Count the earlier rounds' moves whose copies are done by now.
+  std::size_t kept = 0;
+  for (const PendingMove& move : pending_moves_) {
+    if (MoveDone(move)) {
+      ++stats_.migrations;
+    } else {
+      pending_moves_[kept++] = move;
+    }
+  }
+  pending_moves_.resize(kept);
   for (const PageMove& move : plan.moves) {
     DMASIM_CHECK_EQ(page_to_chip_[move.page], move.from_chip);
     page_to_chip_[move.page] = move.to_chip;
-    ++stats_.migrations;
+    ++migrations_planned_;
     // Charge the copy: a read on the source chip and a write on the
     // destination chip. Copies run at lowest priority and in small chunks
     // (Section 4.2.2's "perform page migration in small chunks") so DMA
@@ -578,6 +591,13 @@ void MemoryController::RunLayoutInterval() {
       chips_[static_cast<std::size_t>(move.to_chip)]->Enqueue(
           ChipRequest{RequestKind::kMigration, ByteCount(chunk), {}});
     }
+    std::uint64_t& from_end =
+        copies_queued_[static_cast<std::size_t>(move.from_chip)];
+    std::uint64_t& to_end = copies_queued_[static_cast<std::size_t>(move.to_chip)];
+    from_end += copies_per_move_;
+    to_end += copies_per_move_;
+    pending_moves_.push_back(
+        PendingMove{move.from_chip, move.to_chip, from_end, to_end});
   }
   ++layout_intervals_run_;
   if (config_.dma.pl.age_period_intervals > 0 &&
@@ -585,6 +605,43 @@ void MemoryController::RunLayoutInterval() {
     popularity_.Age();
   }
   ScheduleLayoutInterval();
+}
+
+std::uint64_t MemoryController::CopiesServed(int chip,
+                                             std::uint64_t end) const {
+  const std::uint64_t served =
+      chips_[static_cast<std::size_t>(chip)]->stats().migration_requests;
+  const std::uint64_t start = end - copies_per_move_;
+  return served <= start ? 0 : std::min(served, end) - start;
+}
+
+bool MemoryController::MoveDone(const PendingMove& move) const {
+  return CopiesServed(move.from_chip, move.from_end) == copies_per_move_ &&
+         CopiesServed(move.to_chip, move.to_end) == copies_per_move_;
+}
+
+ControllerStats MemoryController::stats() const {
+  ControllerStats stats = stats_;
+  for (const PendingMove& move : pending_moves_) {
+    ++(MoveDone(move) ? stats.migrations : stats.migrations_pending);
+  }
+  return stats;
+}
+
+std::uint64_t MemoryController::PendingMigrationBytesServed() const {
+  // Only a page's last chunk may be short, so n chunks hold
+  // min(n * chunk_bytes, page_bytes) bytes.
+  const auto copy_bytes = [this](std::uint64_t chunks) {
+    return std::min(chunks * static_cast<std::uint64_t>(config_.chunk_bytes),
+                    static_cast<std::uint64_t>(config_.page_bytes));
+  };
+  std::uint64_t bytes = 0;
+  for (const PendingMove& move : pending_moves_) {
+    if (MoveDone(move)) continue;
+    bytes += copy_bytes(CopiesServed(move.from_chip, move.from_end)) +
+             copy_bytes(CopiesServed(move.to_chip, move.to_end));
+  }
+  return bytes;
 }
 
 double MemoryController::HottestChipShare() const {

@@ -102,7 +102,10 @@ struct ControllerStats {
   std::uint64_t transfers_started = 0;
   std::uint64_t transfers_completed = 0;
   std::uint64_t cpu_accesses = 0;
-  std::uint64_t migrations = 0;        // Page copies charged.
+  // Page moves whose copies both chips served (DESIGN.md §5), and planned
+  // moves whose copies are still queued or in service.
+  std::uint64_t migrations = 0;
+  std::uint64_t migrations_pending = 0;
   std::uint64_t migration_rounds = 0;  // PL intervals that planned moves.
   std::uint64_t deferred_migrations = 0;
 };
@@ -151,7 +154,13 @@ class MemoryController : public DmaRequestSink {
   // Per-transfer latency (start -> last chunk served).
   const RunningMean& TransferLatency() const { return transfer_latency_; }
 
-  const ControllerStats& stats() const { return stats_; }
+  // `migrations` and `migrations_pending` are read off the chips' served
+  // copy counts at the call.
+  ControllerStats stats() const;
+  // Page moves planned so far, served or not.
+  std::uint64_t MigrationsPlanned() const { return migrations_planned_; }
+  // Copy bytes the chips served for the pending moves.
+  std::uint64_t PendingMigrationBytesServed() const;
   const TemporalAligner& aligner() const { return *aligner_; }
   const PopularityTracker& popularity() const { return popularity_; }
   // Null unless config.monitor.enabled.
@@ -209,6 +218,24 @@ class MemoryController : public DmaRequestSink {
   void ArmMonitorProbe();
   void ScheduleMonitorAggregation();
 
+  // --- Page-move completion ----------------------------------------------
+  // A planned move whose copies both chips may not have served yet. Each
+  // chip serves its migration copies in FIFO order, and a move's chunks
+  // are contiguous in each chip's queue, so the move is done once each
+  // chip's served-copy count reaches the count queued through the move's
+  // last chunk there. Reading completion off those counts needs no
+  // completion callback, which would stop inline retirement.
+  struct PendingMove {
+    int from_chip = 0;
+    int to_chip = 0;
+    std::uint64_t from_end = 0;  // Copies queued on from_chip through it.
+    std::uint64_t to_end = 0;
+  };
+  // Chunks of the move whose copies on `chip` end at queue count `end`
+  // that the chip has served.
+  std::uint64_t CopiesServed(int chip, std::uint64_t end) const;
+  bool MoveDone(const PendingMove& move) const;
+
   // --- Chunk-run coalescing ----------------------------------------------
   // A "run" serves consecutive chunks of one transfer that exclusively
   // owns its chip and bus in a single run-end event instead of 2 events
@@ -253,6 +280,13 @@ class MemoryController : public DmaRequestSink {
   TransferPool pool_;
   std::uint64_t next_transfer_id_ = 1;
   std::uint64_t layout_intervals_run_ = 0;
+  std::uint64_t migrations_planned_ = 0;
+  // Copy chunks one page move queues on each of its two chips.
+  std::uint64_t copies_per_move_ = 0;
+  // Migration copies queued on each chip since construction.
+  std::vector<std::uint64_t> copies_queued_;
+  // Moves not yet counted in stats_.migrations, in plan order.
+  std::vector<PendingMove> pending_moves_;
 
   // Active runs, indexed both ways for O(1) settle on perturbation.
   std::vector<DmaTransfer*> run_by_chip_;

@@ -91,6 +91,12 @@ Json SimulationResultsToJson(const SimulationResults& results) {
                  results.controller.transfers_completed);
   controller.Set("cpu_accesses", results.controller.cpu_accesses);
   controller.Set("migrations", results.controller.migrations);
+  // Only a run that ends with copies unserved has pending moves; the key
+  // stays out of every other artifact, which keeps their bytes.
+  if (results.controller.migrations_pending > 0) {
+    controller.Set("migrations_pending",
+                   results.controller.migrations_pending);
+  }
   controller.Set("migration_rounds", results.controller.migration_rounds);
   controller.Set("deferred_migrations",
                  results.controller.deferred_migrations);

@@ -192,17 +192,7 @@ void MemoryChip::ServeRequest(ChipRequest&& request, bool retire_inline) {
           issue + ServiceTime(request.kind, request.bytes).value();
       if (completion >= horizon) break;
       AccountTo(completion);
-      switch (request.kind) {
-        case RequestKind::kDma:
-          ++stats_.dma_requests;
-          break;
-        case RequestKind::kCpu:
-          ++stats_.cpu_requests;
-          break;
-        case RequestKind::kMigration:
-          ++stats_.migration_requests;
-          break;
-      }
+      CountServed(request);
       ++batched;
       issue = completion;
       request = PopNextRequest();
@@ -217,12 +207,7 @@ void MemoryChip::ServeRequest(ChipRequest&& request, bool retire_inline) {
   simulator_->ScheduleAt(issue + service, [this]() { ServeDone(); });
 }
 
-void MemoryChip::ServeDone() {
-  DMASIM_CHECK(serving_);
-  serving_ = false;
-  // Move the request out first: completing may start the next service,
-  // which overwrites the active-request slot.
-  ChipRequest request = std::move(active_request_);
+void MemoryChip::CountServed(const ChipRequest& request) {
   switch (request.kind) {
     case RequestKind::kDma:
       ++stats_.dma_requests;
@@ -232,8 +217,19 @@ void MemoryChip::ServeDone() {
       break;
     case RequestKind::kMigration:
       ++stats_.migration_requests;
+      stats_.migration_bytes +=
+          static_cast<std::uint64_t>(request.bytes.count());
       break;
   }
+}
+
+void MemoryChip::ServeDone() {
+  DMASIM_CHECK(serving_);
+  serving_ = false;
+  // Move the request out first: completing may start the next service,
+  // which overwrites the active-request slot.
+  ChipRequest request = std::move(active_request_);
+  CountServed(request);
 
   if (HasQueuedRequest()) {
     // The callback below runs after the next service starts, so the next

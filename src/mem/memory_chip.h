@@ -65,6 +65,7 @@ struct ChipStats {
   std::uint64_t dma_requests = 0;
   std::uint64_t cpu_requests = 0;
   std::uint64_t migration_requests = 0;
+  std::uint64_t migration_bytes = 0;  // Bytes of migration copies served.
   std::uint64_t wakeups = 0;
   std::uint64_t step_downs = 0;
 };
@@ -175,6 +176,8 @@ class MemoryChip {
   ChipRequest PopNextRequest();
   void SwitchToServingAccounting(RequestKind kind, ByteCount bytes);
   void ServeRequest(ChipRequest&& request, bool retire_inline);
+  // Bumps the served counters for a request whose service completed.
+  void CountServed(const ChipRequest& request);
   void ServeDone();
   void BecomeIdleActive();
   void ArmPolicyTimer();

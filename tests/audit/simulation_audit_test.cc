@@ -143,6 +143,24 @@ TEST(SimulationAuditTest, PlRunsPassLayoutIndexInvariant) {
   }
 }
 
+TEST(SimulationAuditTest, WorkConservationHoldsForMovesCutOffByTheEnd) {
+  // OLTP-Db for 10 ms: the one layout round fires at the run's last tick
+  // (10 ms plus the drain), so its moves are planned and queued but never
+  // served. Counting them as migrations would bill 0 bytes for 90 moves.
+  WorkloadSpec spec = OltpDatabaseSpec();
+  spec.duration = 10 * kMillisecond;
+  SimulationOptions options = AuditedOptions();
+  options.audit_level = 1;
+  options.memory.dma.ta.enabled = true;
+  options.memory.dma.ta.mu = 20.0;
+  options.memory.dma.pl.enabled = true;
+  const SimulationResults results = RunWorkload(spec, options);
+  EXPECT_GT(results.audit_checks, 0u);
+  EXPECT_EQ(results.audit_failures, 0u);
+  EXPECT_EQ(results.controller.migrations, 0u);
+  EXPECT_GT(results.controller.migrations_pending, 0u);
+}
+
 TEST(LayoutIndexCheckTest, ReportsHandBuiltMismatches) {
   // Two chips of two pages; pages 1 and 3 are referenced.
   const std::vector<std::uint32_t> counts = {0, 3, 0, 1};

@@ -236,6 +236,54 @@ TEST_F(ControllerFixture, MigrationMovesPageAndChargesEnergy) {
   EXPECT_GT(energy.Of(EnergyBucket::kMigration).joules(), 0.0);
 }
 
+TEST_F(ControllerFixture, MoveCountsOnceBothChipsServedItsLastCopy) {
+  MemorySystemConfig config = SmallConfig();
+  config.dma.pl.enabled = true;
+  config.dma.pl.interval = kMillisecond;
+  config.dma.pl.min_hot_count = 1;
+  // Page 8192 is not a multiple of the chunk, so each copy ends short.
+  config.chunk_bytes = 3000;
+  Build(config, PolicyStyle::kAlwaysActive);
+  for (int i = 0; i < 20; ++i) {
+    simulator_.ScheduleAt(static_cast<Tick>(i) * 40 * kMicrosecond, [this]() {
+      controller_->StartDmaTransfer(0, 5, 8192, DmaKind::kNetwork, {});
+    });
+  }
+  std::uint64_t served_bytes = 0;
+  const auto copy_bytes_served = [this]() {
+    std::uint64_t bytes = 0;
+    for (int chip = 0; chip < controller_->chip_count(); ++chip) {
+      bytes += controller_->chip(chip).stats().migration_bytes;
+    }
+    return bytes;
+  };
+
+  // The round at 1 ms plans the moves and queues their copies; none is
+  // served at the round's own tick, so every move is pending.
+  simulator_.RunUntil(kMillisecond);
+  const std::uint64_t planned = controller_->MigrationsPlanned();
+  ASSERT_GT(planned, 0u);
+  EXPECT_EQ(controller_->stats().migrations, 0u);
+  EXPECT_EQ(controller_->stats().migrations_pending, planned);
+  EXPECT_EQ(copy_bytes_served(), 0u);
+  EXPECT_EQ(controller_->PendingMigrationBytesServed(), 0u);
+
+  // One copy chunk later, each chip has served part of its copy.
+  simulator_.RunUntil(kMillisecond + 2 * kMicrosecond);
+  served_bytes = copy_bytes_served();
+  EXPECT_GT(served_bytes, 0u);
+  EXPECT_LT(served_bytes, 2 * 8192 * planned);
+  EXPECT_EQ(controller_->stats().migrations, 0u);
+  EXPECT_EQ(controller_->PendingMigrationBytesServed(), served_bytes);
+
+  // Once both copies are served the move counts, with no round needed.
+  simulator_.RunUntil(kMillisecond + 500 * kMicrosecond);
+  EXPECT_EQ(controller_->stats().migrations, planned);
+  EXPECT_EQ(controller_->stats().migrations_pending, 0u);
+  EXPECT_EQ(copy_bytes_served(), 2 * 8192 * planned);
+  EXPECT_EQ(controller_->PendingMigrationBytesServed(), 0u);
+}
+
 TEST_F(ControllerFixture, TransfersFollowMigratedPages) {
   MemorySystemConfig config = SmallConfig();
   config.dma.pl.enabled = true;

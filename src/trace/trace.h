@@ -12,27 +12,48 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/check.h"
 #include "util/time.h"
 
 namespace dmasim {
 
-enum class TraceEventKind : int {
+// Unsigned, so that a 2-bit field holds every kind.
+enum class TraceEventKind : std::uint8_t {
   kClientRead = 0,
   kClientWrite,
   kCpuAccess,
 };
 
-// Fields run from widest to narrowest, so a record packs into 24 bytes
-// with no padding; an OLTP-Db trace holds 23.3k of them per ms.
+// The widest values a record holds: pages below 2^32 (the paper's 1 GB
+// memory is 2^17 pages of 8 KB) and payloads of 1 to 2^29 - 1 bytes.
+inline constexpr std::uint64_t kTracePageLimit = std::uint64_t{1} << 32;
+inline constexpr std::int64_t kMaxTraceRecordBytes =
+    (std::int64_t{1} << 29) - 1;
+
+// 16 bytes: the time, a 32-bit page, and the payload size and kind
+// packed into the last 4. An OLTP-Db trace holds 23.3k records per ms.
 struct TraceRecord {
+  TraceRecord() = default;
+  // Aborts unless `record_page` and `record_bytes` are within the limits
+  // above, so no value is truncated into its field.
+  TraceRecord(Tick record_time, std::uint64_t record_page,
+              std::int64_t record_bytes, TraceEventKind record_kind)
+      : time(record_time),
+        page(static_cast<std::uint32_t>(record_page)),
+        bytes(static_cast<std::int32_t>(record_bytes)),
+        kind(record_kind) {
+    DMASIM_EXPECTS(record_page < kTracePageLimit);
+    DMASIM_EXPECTS(record_bytes >= 1 && record_bytes <= kMaxTraceRecordBytes);
+  }
+
   Tick time = 0;
-  std::uint64_t page = 0;   // Logical page number.
-  std::int32_t bytes = 0;   // Payload size (page size or cache line).
-  TraceEventKind kind = TraceEventKind::kClientRead;
+  std::uint32_t page = 0;    // Logical page number.
+  std::int32_t bytes : 30 = 0;  // Payload size (page size or cache line).
+  TraceEventKind kind : 2 = TraceEventKind::kClientRead;
 
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
-static_assert(sizeof(TraceRecord) == 24);
+static_assert(sizeof(TraceRecord) == 16);
 
 using Trace = std::vector<TraceRecord>;
 

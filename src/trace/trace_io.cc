@@ -55,15 +55,21 @@ bool ReadTrace(std::istream& is, Trace* out, std::string* error) {
     if (line.empty() || line[0] == '#') continue;
 
     std::istringstream fields(line);
-    TraceRecord record;
+    // Parsed wide, so a value past a record field's limit is rejected
+    // rather than truncated into the field.
+    Tick time = 0;
     char kind_char = '?';
+    std::uint64_t page = 0;
+    std::int64_t bytes = 0;
+    TraceEventKind kind = TraceEventKind::kClientRead;
     std::string trailing;
-    if (!(fields >> record.time >> kind_char >> record.page >> record.bytes) ||
-        !KindFromChar(kind_char, &record.kind) || record.time < 0 ||
-        record.bytes <= 0 ||
+    if (!(fields >> time >> kind_char >> page >> bytes) ||
+        !KindFromChar(kind_char, &kind) || time < 0 ||
+        page >= kTracePageLimit || bytes < 1 ||
+        bytes > kMaxTraceRecordBytes ||
         // Records must be in time order (equal times are fine): RunTrace
         // replays them as they come.
-        (!parsed.empty() && record.time < parsed.back().time) ||
+        (!parsed.empty() && time < parsed.back().time) ||
         // A record is exactly four fields; anything after `bytes` (e.g.
         // "100 R 5 4096 junk") means a corrupted or mis-columned trace
         // and must not be silently accepted.
@@ -76,7 +82,7 @@ bool ReadTrace(std::istream& is, Trace* out, std::string* error) {
       }
       return false;
     }
-    parsed.push_back(record);
+    parsed.emplace_back(time, page, bytes, kind);
   }
   *out = std::move(parsed);
   return true;

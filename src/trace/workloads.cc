@@ -57,9 +57,13 @@ Trace GenerateWorkload(const WorkloadSpec& spec) {
   // No record may precede its own request: the merge below relies on it.
   DMASIM_EXPECTS(spec.cpu_window >= 0);
   DMASIM_EXPECTS(spec.sequential_gap >= 0);
+  // Every page number and payload must fit a record's fields (trace.h);
   // ReadTrace rejects a record of no bytes, so none may be generated.
+  DMASIM_EXPECTS(spec.pages <= kTracePageLimit);
   DMASIM_EXPECTS(spec.page_bytes > 0);
+  DMASIM_EXPECTS(spec.page_bytes <= kMaxTraceRecordBytes);
   DMASIM_EXPECTS(spec.cpu_access_bytes > 0);
+  DMASIM_EXPECTS(spec.cpu_access_bytes <= kMaxTraceRecordBytes);
 
   Rng rng(spec.seed);
   ZipfPagePicker picker(spec.pages, spec.zipf_alpha);
@@ -94,8 +98,9 @@ Trace GenerateWorkload(const WorkloadSpec& spec) {
   // One pass, with no sort of the whole trace: `trace` always holds the
   // records drawn so far in (time, draw order), the order a stable sort
   // by time gives. Each request's records go into `batch` in that order
-  // and are merged into the pending tail of `trace`, the records later
-  // than the request. Nothing before the tail can move: arrivals strictly
+  // and are merged into `trace` from the back, so only the pending tail,
+  // the records later than the request, moves, and each of its records
+  // moves once. Nothing before the tail can move: arrivals strictly
   // increase and no record precedes its own request.
   Trace batch;
   std::vector<double> draws;
@@ -116,13 +121,11 @@ Trace GenerateWorkload(const WorkloadSpec& spec) {
     now += static_cast<Tick>(gap) + 1;
     if (now >= spec.duration) break;
 
-    TraceRecord request;
-    request.time = now;
-    request.kind = rng.NextDouble() < spec.write_fraction
-                       ? TraceEventKind::kClientWrite
-                       : TraceEventKind::kClientRead;
-    request.page = pick_page();
-    request.bytes = spec.page_bytes;
+    // The kind is drawn before the page.
+    const TraceEventKind kind = rng.NextDouble() < spec.write_fraction
+                                    ? TraceEventKind::kClientWrite
+                                    : TraceEventKind::kClientRead;
+    const TraceRecord request(now, pick_page(), spec.page_bytes, kind);
     batch.assign(1, request);
 
     if (spec.sequential_run_mean > 1.0) {
@@ -134,10 +137,7 @@ Trace GenerateWorkload(const WorkloadSpec& spec) {
         page = (page + 1) % spec.pages;
         when += spec.sequential_gap;
         if (when >= spec.duration) break;
-        TraceRecord next = request;
-        next.time = when;
-        next.page = page;
-        batch.push_back(next);
+        batch.emplace_back(when, page, request.bytes, request.kind);
       }
     }
     const std::size_t run_end = batch.size();
@@ -152,21 +152,29 @@ Trace GenerateWorkload(const WorkloadSpec& spec) {
       for (const double u : draws) {
         const Tick time = now + static_cast<Tick>(u * window);
         if (time >= spec.duration) break;  // So is every later access.
-        batch.push_back({time, request.page, spec.cpu_access_bytes,
-                         TraceEventKind::kCpuAccess});
+        batch.emplace_back(time, request.page, spec.cpu_access_bytes,
+                           TraceEventKind::kCpuAccess);
       }
     }
     // The accesses were drawn after the scan run, so they follow it on
-    // equal times.
-    std::inplace_merge(batch.begin(), batch.begin() + run_end, batch.end(),
-                       EarlierTime);
+    // equal times. A lone request precedes its accesses already.
+    if (run_end > 1 && run_end < batch.size()) {
+      std::inplace_merge(batch.begin(), batch.begin() + run_end, batch.end(),
+                         EarlierTime);
+    }
 
-    std::size_t pending = trace.size();
-    while (pending > 0 && trace[pending - 1].time > now) --pending;
-    const std::size_t drawn = trace.size();
-    trace.insert(trace.end(), batch.begin(), batch.end());
-    std::inplace_merge(trace.begin() + pending, trace.begin() + drawn,
-                       trace.end(), EarlierTime);
+    // On equal times a record drawn earlier stays ahead of the batch.
+    std::size_t own = trace.size();
+    std::size_t next = batch.size();
+    trace.resize(own + next);
+    for (std::size_t slot = trace.size(); next > 0;) {
+      --slot;
+      if (own > 0 && trace[own - 1].time > batch[next - 1].time) {
+        trace[slot] = trace[--own];
+      } else {
+        trace[slot] = batch[--next];
+      }
+    }
   }
   return trace;
 }

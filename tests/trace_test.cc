@@ -149,6 +149,61 @@ TEST(TraceIoTest, RejectsZeroBytes) {
   EXPECT_FALSE(ReadTrace(input, &parsed));
 }
 
+TEST(TraceIoTest, RejectsAPagePastTheRecordLimit) {
+  // 2^32 does not fit the record's 32-bit page; it must not wrap to 0.
+  std::istringstream input(
+      "5 R 17 8192\n"
+      "7 R 4294967296 8192\n");
+  Trace parsed;
+  std::string error;
+  EXPECT_FALSE(ReadTrace(input, &parsed, &error));
+  EXPECT_NE(error.find("malformed trace record at line 2"), std::string::npos)
+      << error;
+}
+
+TEST(TraceIoTest, RejectsBytesPastTheRecordLimit) {
+  // 2^29 does not fit the record's 30-bit signed payload size.
+  std::istringstream input(
+      "5 R 17 8192\n"
+      "7 W 18 536870912\n");
+  Trace parsed;
+  std::string error;
+  EXPECT_FALSE(ReadTrace(input, &parsed, &error));
+  EXPECT_NE(error.find("malformed trace record at line 2"), std::string::npos)
+      << error;
+}
+
+TEST(TraceIoTest, RecordsAtTheLimitsRoundTrip) {
+  const Trace original = {
+      {0, 0, 1, TraceEventKind::kClientRead},
+      {1, kTracePageLimit - 1, kMaxTraceRecordBytes,
+       TraceEventKind::kClientWrite},
+      {2, kTracePageLimit - 1, 1, TraceEventKind::kCpuAccess},
+  };
+  EXPECT_EQ(original[1].page, 4294967295u);
+  EXPECT_EQ(original[1].bytes, 536870911);
+  EXPECT_EQ(original[2].kind, TraceEventKind::kCpuAccess);
+  std::stringstream stream;
+  WriteTrace(original, stream);
+  EXPECT_NE(stream.str().find("1 W 4294967295 536870911\n"),
+            std::string::npos);
+  Trace parsed;
+  std::string error;
+  ASSERT_TRUE(ReadTrace(stream, &parsed, &error)) << error;
+  EXPECT_EQ(parsed, original);
+}
+
+TEST(TraceRecordDeathTest, ConstructionRefusesValuesPastTheLimits) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(TraceRecord(0, kTracePageLimit, 64, TraceEventKind::kCpuAccess),
+               "record_page < kTracePageLimit");
+  EXPECT_DEATH(
+      TraceRecord(0, 5, kMaxTraceRecordBytes + 1, TraceEventKind::kClientRead),
+      "record_bytes <= kMaxTraceRecordBytes");
+  EXPECT_DEATH(TraceRecord(0, 5, 0, TraceEventKind::kClientRead),
+               "record_bytes >= 1");
+}
+
 TEST(TraceIoTest, FailedParseLeavesOutputUntouched) {
   Trace parsed = SmallTrace();
   std::istringstream input("garbage\n");

@@ -158,6 +158,23 @@ TEST(GenerateWorkloadDeathTest, RecordsOfNoBytesAreRefused) {
   }
 }
 
+TEST(GenerateWorkloadDeathTest, SpecsPastTheRecordLimitsAreRefused) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  WorkloadSpec spec = OltpDatabaseSpec();
+  spec.duration = kMillisecond;
+  WorkloadSpec pages = spec;
+  pages.pages = kTracePageLimit + 1;
+  EXPECT_DEATH(GenerateWorkload(pages), "spec.pages <= kTracePageLimit");
+  WorkloadSpec page_bytes = spec;
+  page_bytes.page_bytes = kMaxTraceRecordBytes + 1;
+  EXPECT_DEATH(GenerateWorkload(page_bytes),
+               "spec.page_bytes <= kMaxTraceRecordBytes");
+  WorkloadSpec line_bytes = spec;
+  line_bytes.cpu_access_bytes = kMaxTraceRecordBytes + 1;
+  EXPECT_DEATH(GenerateWorkload(line_bytes),
+               "spec.cpu_access_bytes <= kMaxTraceRecordBytes");
+}
+
 TEST(PresetTest, OltpStorageMatchesTable2Rates) {
   const WorkloadSpec spec = OltpStorageSpec();
   EXPECT_EQ(spec.name, "OLTP-St");

@@ -8,7 +8,7 @@
 // Examples:
 //   dmasim_sweep --workloads oltp-st --schemes ta,ta-pl2
 //                --cp-limits 0.02,0.05,0.10 --out fig5_oltp.json
-//   dmasim_sweep --workloads synth-st --schemes ta-pl2 --chips 16,32,64
+//   dmasim_sweep --workloads synth-st --schemes ta-pl2 --chips 32,64,128
 //                --seeds 1,2,3 --threads 4 --ndjson
 //   dmasim_sweep --list
 #include <cstdint>
@@ -90,7 +90,9 @@ Axes (comma-separated lists; the cross product is the run grid):
                      in [0, 10] (default: 0.10)
   --policies LIST    dynamic, static-standby, static-nap,
                      static-powerdown, always-active (default: dynamic)
-  --chips LIST       memory chip counts, 1..4096 (default: paper's 32)
+  --chips LIST       memory chip counts, 2..4096 (default: paper's 32);
+                     a cell whose workload draws from more pages than
+                     its chips hold fails as a run
   --buses LIST       I/O bus counts, 1..1024 (default: paper's 3)
   --seeds LIST       unsigned 64-bit RNG seeds for replicated runs
                      (default: preset seed)
@@ -211,7 +213,8 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--chips") {
       for (const std::string& text : SplitCommas(next())) {
-        spec.chip_counts.push_back(kFlags.Integer(arg, text, 1, kMaxChips));
+        spec.chip_counts.push_back(
+            kFlags.Integer(arg, text, kMinChips, kMaxChips));
       }
     } else if (arg == "--buses") {
       for (const std::string& text : SplitCommas(next())) {

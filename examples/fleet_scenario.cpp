@@ -57,7 +57,7 @@ void PrintUsage() {
   --duration-ms N      simulated milliseconds, 1e-6..3.6e6 (default: 20)
   --workload NAME      per-domain workload: oltp-st, synth-st, oltp-db,
                        synth-db, dss (default: oltp-st)
-  --chips N            memory chips per domain, 1..4096 (default: 32)
+  --chips N            memory chips per domain, 2..4096 (default: 32)
   --streams N          client streams per domain, >= 1 (default: 32768)
   --remote-fraction F  fraction of streams homed remotely, 0..1
                        (default: 0.05)
@@ -179,7 +179,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--workload") {
       workload_flag = next();
     } else if (arg == "--chips") {
-      options.base.memory.chips = kFlags.Integer(arg, next(), 1, kMaxChips);
+      options.base.memory.chips =
+          kFlags.Integer(arg, next(), kMinChips, kMaxChips);
     } else if (arg == "--streams") {
       options.streams_per_domain =
           kFlags.Integer(arg, next(), std::uint64_t{1}, kMaxU64);

@@ -89,6 +89,19 @@ std::string ValidateOptions(const SimulationOptions& options) {
   return "";
 }
 
+std::string ValidatePlan(const RunPlan& plan) {
+  const std::string problem = ValidateOptions(plan.options);
+  if (!problem.empty()) return problem;
+  const std::uint64_t memory_pages = plan.options.memory.TotalPages();
+  if (plan.workload.pages > memory_pages) {
+    return "the workload draws from " + std::to_string(plan.workload.pages) +
+           " pages, but the memory holds " + std::to_string(memory_pages) +
+           " (" + std::to_string(plan.options.memory.chips) + " chips of " +
+           std::to_string(plan.options.memory.pages_per_chip) + " pages)";
+  }
+  return "";
+}
+
 RunGrid ExpandGrid(const ExperimentSpec& spec) {
   DMASIM_CHECK_MSG(!spec.workloads.empty(),
                    "ExperimentSpec needs at least one workload");

@@ -120,6 +120,10 @@ RunGrid ExpandGrid(const ExperimentSpec& spec);
 // human-readable reason. The runner records the reason as a failed run.
 std::string ValidateOptions(const SimulationOptions& options);
 
+// ValidateOptions for the plan's options, then the plan's workload: it
+// may draw from no more pages than the memory holds.
+std::string ValidatePlan(const RunPlan& plan);
+
 }  // namespace dmasim
 
 #endif  // DMASIM_EXP_EXPERIMENT_SPEC_H_

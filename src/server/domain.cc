@@ -1,5 +1,7 @@
 #include "server/domain.h"
 
+#include <string>
+
 namespace dmasim {
 
 namespace {
@@ -19,7 +21,22 @@ Domain::Domain(const SimulationOptions& options, double miss_ratio,
       controller_(&simulator_, options.memory, policy_.get()),
       server_(&simulator_, &controller_,
               WithMissRatio(options.server, miss_ratio)) {
-  DMASIM_EXPECTS(IsTimeSorted(trace_));
+  // One scan, before the first event: the records are in time order, and
+  // each names a page inside the memory (one past it would abort mid-run,
+  // in the controller's page map).
+  const std::uint64_t pages = options.memory.TotalPages();
+  for (std::size_t i = 0; i < trace_.size(); ++i) {
+    const TraceRecord& record = trace_[i];
+    DMASIM_EXPECTS(i == 0 || trace_[i - 1].time <= record.time);
+    if (record.page >= pages) {
+      const std::string message =
+          "trace record " + std::to_string(i) + " (time " +
+          std::to_string(record.time) + " ps) names page " +
+          std::to_string(record.page) + ", but the memory holds " +
+          std::to_string(pages) + " pages";
+      DMASIM_CHECK_MSG(record.page < pages, message.c_str());
+    }
+  }
   if (!trace_.empty()) {
     simulator_.ScheduleAt(trace_[0].time, [this]() { Pump(); });
   }

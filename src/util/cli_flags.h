@@ -19,7 +19,9 @@ namespace dmasim {
 // Domains the tools share. Chip and thread counts are bounded so a typo
 // fails fast instead of allocating a machine's worth of simulator state;
 // --duration-ms runs at least one nanosecond and at most one simulated
-// hour (far inside the tick range).
+// hour (far inside the tick range). A memory needs two chips: PL's layout
+// keeps a hot and a cold one.
+inline constexpr int kMinChips = 2;
 inline constexpr int kMaxChips = 4096;
 inline constexpr int kMaxThreads = 1024;
 inline constexpr double kMinDurationMs = 1e-6;

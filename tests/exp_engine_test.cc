@@ -248,6 +248,31 @@ TEST(SweepRunnerTest, FailedConfigDoesNotAbortSweep) {
   EXPECT_FALSE(bad_baseline->error.empty());
 }
 
+TEST(SweepRunnerTest, CellWhoseWorkloadOutgrowsItsMemoryFailsAlone) {
+  ExperimentSpec spec;
+  spec.workloads = {TinyWorkload()};  // Draws from 2^17 pages.
+  spec.schemes = {TaPlScheme(2)};
+  spec.cp_limits = {0.10};
+  spec.chip_counts = {16, 32};  // 16 chips hold 2^16 pages.
+
+  SweepRunner runner(ThreadedOptions(2));
+  const SweepResults sweep = runner.Run(spec);
+  ASSERT_EQ(sweep.records.size(), 4u);
+  EXPECT_EQ(sweep.summary.ok, 2);
+  EXPECT_EQ(sweep.summary.failed, 1);
+  EXPECT_EQ(sweep.summary.skipped, 1);
+
+  const RunRecord* small = sweep.FindBaseline(0);
+  ASSERT_NE(small, nullptr);
+  EXPECT_EQ(small->status, RunRecord::Status::kFailed);
+  EXPECT_EQ(small->error,
+            "the workload draws from 131072 pages, but the memory holds "
+            "65536 (16 chips of 4096 pages)");
+  const RunRecord* paper = sweep.FindBaseline(1);
+  ASSERT_NE(paper, nullptr);
+  EXPECT_TRUE(paper->ok());
+}
+
 TEST(SweepRunnerTest, ComputesDeltasAndMu) {
   ExperimentSpec spec;
   spec.workloads = {TinyWorkload()};

@@ -6,6 +6,7 @@
 #include "core/memory_controller.h"
 #include "mem/power_policy.h"
 #include "server/buffer_cache.h"
+#include "server/domain.h"
 #include "sim/simulator.h"
 
 namespace dmasim {
@@ -201,6 +202,23 @@ TEST_F(ServerFixture, ComputeTimeAddsToResponse) {
   server.ClientRead(3, 8192, [&](Tick when) { done = when; });
   simulator_.RunUntil(10 * kMillisecond);
   EXPECT_GE(done, 500 * kMicrosecond);
+}
+
+// A page past the memory would abort mid-run in the controller's page
+// map; the domain refuses the trace before the first event instead, and
+// names the record.
+TEST(DomainDeathTest, RecordPastTheMemoryFailsBeforeTheFirstEvent) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SimulationOptions options;
+  options.memory.chips = 2;
+  options.memory.pages_per_chip = 16;
+  const Trace trace = {
+      {0, 31, 8192, TraceEventKind::kClientRead},
+      {5, 32, 8192, TraceEventKind::kClientRead},
+  };
+  EXPECT_DEATH(Domain(options, 0.0, trace),
+               "trace record 1 \\(time 5 ps\\) names page 32, but the "
+               "memory holds 32 pages");
 }
 
 }  // namespace

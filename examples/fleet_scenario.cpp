@@ -211,6 +211,12 @@ int main(int argc, char** argv) {
   options.workload = WorkloadByFlag(workload_flag);
   options.workload.duration = static_cast<Tick>(duration_ms * kMillisecond);
   if (seed.has_value()) options.workload.seed = *seed;
+  if (options.workload.pages > options.base.memory.TotalPages()) {
+    Fail("--chips: the workload draws from " +
+         std::to_string(options.workload.pages) + " pages, but " +
+         std::to_string(options.base.memory.chips) + " chips hold " +
+         std::to_string(options.base.memory.TotalPages()));
+  }
 
   const auto wall_start = std::chrono::steady_clock::now();
   const FleetResults fleet = RunFleet(options);

@@ -26,6 +26,7 @@
 #include <system_error>
 #include <vector>
 
+#include "exp/experiment_spec.h"
 #include "server/fleet_driver.h"
 #include "trace/workloads.h"
 #include "util/cli_flags.h"
@@ -211,12 +212,9 @@ int main(int argc, char** argv) {
   options.workload = WorkloadByFlag(workload_flag);
   options.workload.duration = static_cast<Tick>(duration_ms * kMillisecond);
   if (seed.has_value()) options.workload.seed = *seed;
-  if (options.workload.pages > options.base.memory.TotalPages()) {
-    Fail("--chips: the workload draws from " +
-         std::to_string(options.workload.pages) + " pages, but " +
-         std::to_string(options.base.memory.chips) + " chips hold " +
-         std::to_string(options.base.memory.TotalPages()));
-  }
+  const std::string too_few_pages =
+      ValidateWorkloadPages(options.workload, options.base.memory);
+  if (!too_few_pages.empty()) Fail("--chips: " + too_few_pages);
 
   const auto wall_start = std::chrono::steady_clock::now();
   const FleetResults fleet = RunFleet(options);

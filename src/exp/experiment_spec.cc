@@ -89,17 +89,14 @@ std::string ValidateOptions(const SimulationOptions& options) {
   return "";
 }
 
-std::string ValidatePlan(const RunPlan& plan) {
-  const std::string problem = ValidateOptions(plan.options);
-  if (!problem.empty()) return problem;
-  const std::uint64_t memory_pages = plan.options.memory.TotalPages();
-  if (plan.workload.pages > memory_pages) {
-    return "the workload draws from " + std::to_string(plan.workload.pages) +
-           " pages, but the memory holds " + std::to_string(memory_pages) +
-           " (" + std::to_string(plan.options.memory.chips) + " chips of " +
-           std::to_string(plan.options.memory.pages_per_chip) + " pages)";
-  }
-  return "";
+std::string ValidateWorkloadPages(const WorkloadSpec& workload,
+                                  const MemorySystemConfig& memory) {
+  if (workload.pages <= memory.TotalPages()) return "";
+  return "the workload draws from " + std::to_string(workload.pages) +
+         " pages, but the memory holds " +
+         std::to_string(memory.TotalPages()) + " (" +
+         std::to_string(memory.chips) + " chips of " +
+         std::to_string(memory.pages_per_chip) + " pages)";
 }
 
 RunGrid ExpandGrid(const ExperimentSpec& spec) {

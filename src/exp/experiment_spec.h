@@ -120,9 +120,10 @@ RunGrid ExpandGrid(const ExperimentSpec& spec);
 // human-readable reason. The runner records the reason as a failed run.
 std::string ValidateOptions(const SimulationOptions& options);
 
-// ValidateOptions for the plan's options, then the plan's workload: it
-// may draw from no more pages than the memory holds.
-std::string ValidatePlan(const RunPlan& plan);
+// Returns an empty string if `workload` draws from no more pages than
+// `memory` holds, else a reason naming both counts.
+std::string ValidateWorkloadPages(const WorkloadSpec& workload,
+                                  const MemorySystemConfig& memory);
 
 }  // namespace dmasim
 

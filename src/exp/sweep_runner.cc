@@ -78,7 +78,11 @@ SweepResults SweepRunner::Run(const ExperimentSpec& spec) {
   // by the time dependents run.
   const auto execute = [this](RunRecord* record, const RunRecord* baseline) {
     const auto start = std::chrono::steady_clock::now();
-    const std::string problem = ValidatePlan(record->plan);
+    std::string problem = ValidateOptions(record->plan.options);
+    if (problem.empty()) {
+      problem = ValidateWorkloadPages(record->plan.workload,
+                                      record->plan.options.memory);
+    }
     if (!problem.empty()) {
       record->status = RunRecord::Status::kFailed;
       record->error = problem;

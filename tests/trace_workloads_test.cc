@@ -389,6 +389,16 @@ const PinnedTrace kPinnedTraces[] = {
        return spec;
      },
      64195, 9715549723713232982ULL},
+    // Requests with both a scan run and CPU accesses, whose 200 us window
+    // interleaves them: the only batches whose own records need merging.
+    {"DssStScansWithCpuAccesses",
+     [] {
+       WorkloadSpec spec = AtDuration(DssStorageSpec(), 10 * kMillisecond);
+       spec.cpu_accesses_per_transfer = 4.0;
+       spec.cpu_window = 200 * kMicrosecond;
+       return spec;
+     },
+     506, 3545637185407949014ULL},
     {"SyntheticDbLocalityPool",
      [] {
        WorkloadSpec spec =

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/temporal_aligner.h"
 #include "exp/result_sink.h"
 #include "exp/sweep_runner.h"
 #include "mon/scheme_parser.h"
@@ -69,9 +70,6 @@ std::vector<std::string> SplitCommas(const std::string& csv) {
   return parts;
 }
 
-// Flag domains besides the shared ones in util/cli_flags.h.
-constexpr int kMaxBuses = 1024;
-
 constexpr FlagParser kFlags("dmasim_sweep");
 
 [[noreturn]] void Fail(const std::string& message) { kFlags.Fail(message); }
@@ -93,7 +91,7 @@ Axes (comma-separated lists; the cross product is the run grid):
   --chips LIST       memory chip counts, 2..4096 (default: paper's 32);
                      a cell whose workload draws from more pages than
                      its chips hold fails as a run
-  --buses LIST       I/O bus counts, 1..1024 (default: paper's 3)
+  --buses LIST       I/O bus counts, 1..64 (default: paper's 3)
   --seeds LIST       unsigned 64-bit RNG seeds for replicated runs
                      (default: preset seed)
   --chip-model NAME  chip power/timing model: rdram (paper Table 1,
@@ -218,7 +216,8 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--buses") {
       for (const std::string& text : SplitCommas(next())) {
-        spec.bus_counts.push_back(kFlags.Integer(arg, text, 1, kMaxBuses));
+        spec.bus_counts.push_back(
+            kFlags.Integer(arg, text, 1, TemporalAligner::kMaxBuses));
       }
     } else if (arg == "--seeds") {
       for (const std::string& text : SplitCommas(next())) {

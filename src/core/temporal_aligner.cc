@@ -18,7 +18,7 @@ TemporalAligner::TemporalAligner(const TemporalAlignmentConfig& config,
   DMASIM_EXPECTS(chip_count > 0);
   DMASIM_EXPECTS(bus_count > 0);
   // See the header's limit note.
-  DMASIM_EXPECTS(bus_count <= 64);
+  DMASIM_EXPECTS(bus_count <= kMaxBuses);
   DMASIM_EXPECTS(k > 0);
   DMASIM_EXPECTS(config.gather_depth_factor >= 1.0);
   pending_per_bus_.assign(static_cast<std::size_t>(chip_count) *

@@ -25,9 +25,10 @@
 // length is the count) and `TakeGated` resets it. The lists themselves
 // stay for release order and the protocol checker's introspection.
 //
-// Limit: at most 64 I/O buses, and every gated transfer's bus id is
-// below `bus_count` (the constructor and `Gate` enforce both; the
-// paper's systems have a handful of buses).
+// Limit: at most kMaxBuses (64) I/O buses, so a chip's buses fit in one
+// 64-bit mask, and every gated transfer's bus id is below `bus_count`
+// (the constructor and `Gate` enforce both; the paper's systems have a
+// handful of buses).
 #ifndef DMASIM_CORE_TEMPORAL_ALIGNER_H_
 #define DMASIM_CORE_TEMPORAL_ALIGNER_H_
 
@@ -73,6 +74,11 @@ const char* ReleaseCauseName(ReleaseCause cause);
 
 class TemporalAligner {
  public:
+  // The most I/O buses a system may have: the aligner's per-chip bus set
+  // and the controller's coalesced-run groups are one 64-bit mask each.
+  // Configuration checks (ValidateOptions, the CLIs) read it from here.
+  static constexpr int kMaxBuses = 64;
+
   // `k` is the number of I/O buses that saturate the memory bandwidth;
   // `bus_count` is r in the paper's notation (at most 64, see above);
   // `t_request` is T, the unmanaged service time of one DMA-memory

@@ -1,7 +1,9 @@
 #include "exp/experiment_spec.h"
 
 #include <cstdio>
+#include <string>
 
+#include "core/temporal_aligner.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -52,7 +54,10 @@ std::string ValidateOptions(const SimulationOptions& options) {
   if (memory.chunk_bytes <= 0 || memory.chunk_bytes > memory.page_bytes) {
     return "chunk_bytes must be in (0, page_bytes]";
   }
-  if (memory.bus_count <= 0) return "bus_count must be positive";
+  if (memory.bus_count <= 0 || memory.bus_count > TemporalAligner::kMaxBuses) {
+    return "bus_count must be in [1, " +
+           std::to_string(TemporalAligner::kMaxBuses) + "]";
+  }
   if (memory.bus_bandwidth <= 0.0) return "bus_bandwidth must be positive";
   if (memory.dma.ta.enabled && memory.dma.ta.mu < 0.0) {
     return "ta.mu must be non-negative";

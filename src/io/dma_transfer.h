@@ -46,18 +46,13 @@ struct DmaTransfer {
   // Invoked once, when the final chunk completes.
   SmallFunction<void(Tick)> on_complete;
 
-  // --- Chunk-run coalescing (owned by MemoryController) ------------------
-  // While `run_active`, the controller serves a run of this transfer's
-  // chunks in one deferred "run" event; `run_next_issue` is the issue time
-  // of the first not-yet-replayed chunk and `run_chunks_left` the number
-  // of chunks the run still covers (a run absorbs only the chunks that
-  // finish before the next pending event). `run_generation` invalidates a
-  // pending run-end event when the run is settled early — it survives
-  // pool recycling so a stale event can never match a slot's new occupant.
-  bool run_active = false;
-  Tick run_next_issue = 0;
-  std::int64_t run_chunks_left = 0;
-  std::uint64_t run_generation = 0;
+  // --- Owned by MemoryController ------------------------------------------
+  // A transfer has at most one chunk at its chip (it issues the next only
+  // once that one is served): `issued_bytes - completed_bytes` bytes,
+  // issued at `chunk_issue`. `chip_next` links the chip's DMA chunks in
+  // service and queued, in the chip's FIFO order.
+  Tick chunk_issue = 0;
+  DmaTransfer* chip_next = nullptr;
 
   // True while the descriptor is checked out of its TransferPool
   // (maintained by the pool, not Reset). The access monitor's occupancy
@@ -84,9 +79,8 @@ struct DmaTransfer {
   bool Complete() const { return completed_bytes >= total_bytes; }
   bool FirstChunk() const { return issued_bytes == 0; }
 
-  // Re-initializes a recycled descriptor (everything except
-  // `run_generation` and the pool's `pool_active` and `pool_index`; see
-  // above).
+  // Re-initializes a recycled descriptor (everything except the pool's
+  // `pool_active` and `pool_index`; see above).
   void Reset() {
     id = 0;
     bus_id = 0;
@@ -102,9 +96,8 @@ struct DmaTransfer {
     gated_at = -1;
     obs_was_gated = false;
     on_complete = {};
-    run_active = false;
-    run_next_issue = 0;
-    run_chunks_left = 0;
+    chunk_issue = 0;
+    chip_next = nullptr;
     monitor_seen = false;
   }
 };

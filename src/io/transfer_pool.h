@@ -28,8 +28,8 @@ class TransferPool {
   TransferPool(const TransferPool&) = delete;
   TransferPool& operator=(const TransferPool&) = delete;
 
-  // Returns a reset descriptor (its `run_generation` is preserved across
-  // reuse; see DmaTransfer::Reset). Pointers stay valid until Release.
+  // Returns a reset descriptor (see DmaTransfer::Reset). Pointers stay
+  // valid until Release.
   DmaTransfer* Acquire() {
     if (free_.empty()) Grow();
     DmaTransfer* transfer = free_.back();

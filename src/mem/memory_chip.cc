@@ -29,20 +29,6 @@ PowerState MemoryChip::RestingState(const LowPowerPolicy& policy) {
   return PowerFsm::RestingState(policy);
 }
 
-void MemoryChip::AccountTo(Tick when) {
-  DMASIM_CHECK_GE(when, accounted_until_);
-  const Tick elapsed = when - accounted_until_;
-  if (elapsed > 0) {
-    const JoulesEnergy joules = EnergyOver(power_mw_, Ticks(elapsed));
-    energy_.Add(bucket_, joules);
-    *time_slot_ += elapsed;
-    if (audit_sink_ != nullptr) {
-      audit_sink_->OnEnergyAccounted(id_, bucket_, joules, Ticks(elapsed));
-    }
-  }
-  accounted_until_ = when;
-}
-
 void MemoryChip::SetAccounting(EnergyBucket bucket, MilliwattPower power_mw,
                                Tick* time_slot) {
   AccountTo(simulator_->Now());
@@ -132,35 +118,6 @@ ChipRequest MemoryChip::PopNextRequest() {
   return request;
 }
 
-Ticks MemoryChip::ServiceTime(RequestKind kind, ByteCount bytes) {
-  ServiceMemo& memo = service_memo_[static_cast<int>(kind)];
-  if (memo.bytes != bytes.count()) {
-    memo.ticks = model_->ServiceTime(bytes).value();
-    memo.bytes = bytes.count();
-  }
-  return Ticks(memo.ticks);
-}
-
-void MemoryChip::SwitchToServingAccounting(RequestKind kind, ByteCount bytes) {
-  switch (kind) {
-    case RequestKind::kDma:
-      bucket_ = EnergyBucket::kActiveServing;
-      power_mw_ = model_->ServingPowerMw(kind, bytes);
-      time_slot_ = &stats_.dma_serving;
-      break;
-    case RequestKind::kCpu:
-      bucket_ = EnergyBucket::kActiveServing;
-      power_mw_ = model_->ServingPowerMw(kind, bytes);
-      time_slot_ = &stats_.cpu_serving;
-      break;
-    case RequestKind::kMigration:
-      bucket_ = EnergyBucket::kMigration;
-      power_mw_ = model_->ServingPowerMw(kind, bytes);
-      time_slot_ = &stats_.migration_serving;
-      break;
-  }
-}
-
 void MemoryChip::ServeRequest(ChipRequest&& request, bool retire_inline) {
   serving_ = true;
   AccountTo(simulator_->Now());
@@ -204,7 +161,12 @@ void MemoryChip::ServeRequest(ChipRequest&& request, bool retire_inline) {
 
   const Tick service = ServiceTime(request.kind, request.bytes).value();
   active_request_ = std::move(request);
-  simulator_->ScheduleAt(issue + service, [this]() { ServeDone(); });
+  ScheduleServeDoneAt(issue + service);
+}
+
+void MemoryChip::ScheduleServeDoneAt(Tick when) {
+  serve_when_ = when;
+  serve_sequence_ = simulator_->ScheduleAt(when, [this]() { ServeDone(); });
 }
 
 void MemoryChip::CountServed(const ChipRequest& request) {
@@ -224,6 +186,11 @@ void MemoryChip::CountServed(const ChipRequest& request) {
 }
 
 void MemoryChip::ServeDone() {
+  if (simulator_->CurrentSequence() != serve_sequence_) {
+    // Taken over: the coalesced run that replayed it counted it.
+    simulator_->UncountExecuted();
+    return;
+  }
   DMASIM_CHECK(serving_);
   serving_ = false;
   // Move the request out first: completing may start the next service,
@@ -243,39 +210,28 @@ void MemoryChip::ServeDone() {
   if (request.on_complete) request.on_complete(simulator_->Now());
 }
 
-void MemoryChip::AccountCoalescedCycle(Tick issue, Tick completion,
-                                       ByteCount bytes) {
-  DMASIM_CHECK(!serving_ && !fsm_.transitioning());
-  DMASIM_CHECK_EQ(fsm_.state(), PowerState::kActive);
-  DMASIM_CHECK_EQ(bucket_, EnergyBucket::kActiveIdleDma);
-  DMASIM_CHECK_LE(issue, completion);
-  // Idle-DMA gap up to the issue, then the serving interval, then back to
-  // idle-DMA — the same three accounting segments, in the same order, as
-  // the per-chunk StartNextService / ServeDone / BecomeIdleActive path.
-  AccountTo(issue);
-  bucket_ = EnergyBucket::kActiveServing;
-  power_mw_ = model_->ServingPowerMw(RequestKind::kDma, bytes);
-  time_slot_ = &stats_.dma_serving;
-  AccountTo(completion);
-  bucket_ = EnergyBucket::kActiveIdleDma;
-  power_mw_ = model_->StatePowerMw(PowerState::kActive);
-  time_slot_ = &stats_.active_idle_dma;
-  ++stats_.dma_requests;
+void MemoryChip::ClearDmaRequests() {
+  DMASIM_CHECK(CanHostDmaRun());
+  while (!dma_queue_.empty()) {
+    dma_queue_.pop_front();
+    --queued_;
+  }
+  DMASIM_CHECK_EQ(queued_, 0u);
+  active_request_ = ChipRequest{};
+  serving_ = false;
 }
 
-void MemoryChip::ResumeCoalescedService(Tick issue, ChipRequest request) {
-  DMASIM_EXPECTS(request.bytes.count() > 0);
-  DMASIM_CHECK(!serving_ && !fsm_.transitioning());
-  DMASIM_CHECK_EQ(fsm_.state(), PowerState::kActive);
-  DMASIM_CHECK_EQ(bucket_, EnergyBucket::kActiveIdleDma);
-  AccountTo(issue);
-  bucket_ = EnergyBucket::kActiveServing;
-  power_mw_ = model_->ServingPowerMw(RequestKind::kDma, request.bytes);
-  time_slot_ = &stats_.dma_serving;
-  serving_ = true;
-  const Tick service = ServiceTime(RequestKind::kDma, request.bytes).value();
-  active_request_ = std::move(request);
-  simulator_->ScheduleAt(issue + service, [this]() { ServeDone(); });
+void MemoryChip::InstallDmaRequest(ChipRequest request, bool in_service) {
+  DMASIM_EXPECTS(request.kind == RequestKind::kDma);
+  if (in_service) {
+    DMASIM_CHECK(!serving_);
+    serving_ = true;
+    active_request_ = std::move(request);
+    return;
+  }
+  DMASIM_CHECK(serving_);
+  dma_queue_.push_back(std::move(request));
+  ++queued_;
 }
 
 void MemoryChip::ObsCloseResidency(Tick now) {

@@ -2,6 +2,12 @@
 // CPU priority, migration, and metrics).
 #include "core/memory_controller.h"
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mem/power_policy.h"
@@ -334,6 +340,122 @@ TEST_F(ControllerFixture, ChunkServiceTimeTracked) {
   // Each chunk: issued, then served within one memory service time.
   EXPECT_NEAR(controller_->ChunkServiceTime().Mean(),
               static_cast<double>(config_.power.ServiceTime(ByteCount(512)).value()), 1.0);
+}
+
+// One controller of a coalescing on/off pair, with every transfer's
+// completion time recorded in start order.
+struct CoalescingRig {
+  explicit CoalescingRig(bool coalesce) {
+    MemorySystemConfig config = SmallConfig();
+    config.coalesce_chunk_runs = coalesce;
+    controller = std::make_unique<MemoryController>(&simulator, config,
+                                                    &policy);
+  }
+  void Start(int bus, std::uint64_t page, std::int64_t bytes) {
+    const std::size_t index = completions.size();
+    completions.push_back(-1);
+    controller->StartDmaTransfer(
+        bus, page, bytes, DmaKind::kNetwork,
+        [this, index](Tick when) { completions[index] = when; });
+  }
+
+  Simulator simulator;
+  AlwaysActivePolicy policy;
+  std::unique_ptr<MemoryController> controller;
+  std::vector<Tick> completions;
+  Tick cpu_done = -1;
+};
+
+// Energy buckets, to the bit, and the chips' DMA statistics.
+void ExpectSameChips(CoalescingRig& on, CoalescingRig& off) {
+  const EnergyBreakdown energy_on = on.controller->CollectEnergy();
+  const EnergyBreakdown energy_off = off.controller->CollectEnergy();
+  for (int i = 0; i < kEnergyBucketCount; ++i) {
+    const auto bucket = static_cast<EnergyBucket>(i);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(energy_on.Of(bucket).joules()),
+              std::bit_cast<std::uint64_t>(energy_off.Of(bucket).joules()))
+        << EnergyBucketName(bucket);
+  }
+  for (int chip = 0; chip < on.controller->chip_count(); ++chip) {
+    SCOPED_TRACE("chip " + std::to_string(chip));
+    const ChipStats& a = on.controller->chip(chip).stats();
+    const ChipStats& b = off.controller->chip(chip).stats();
+    EXPECT_EQ(a.dma_requests, b.dma_requests);
+    EXPECT_EQ(a.cpu_requests, b.cpu_requests);
+    EXPECT_EQ(a.dma_serving, b.dma_serving);
+    EXPECT_EQ(a.active_idle_dma, b.active_idle_dma);
+    EXPECT_EQ(a.active_idle_threshold, b.active_idle_threshold);
+  }
+}
+
+TEST(ChunkRunGroupTest, TransferForAnotherChipJoinsAMemberBusMidRun) {
+  // Chip 1's group: three 8 KB transfers on buses 0-2 and a second one
+  // on bus 0, which bus 0 serves round-robin. Mid-stream, a transfer for
+  // chip 2 starts on bus 0 (the group is no longer closed) and a fourth
+  // transfer for chip 1 joins on bus 1, once from an event scheduled
+  // ahead and once between RunUntil calls. With coalescing on, every
+  // completion time, chip and bus statistic, energy bit and logical event
+  // count must equal the per-chunk execution's.
+  CoalescingRig on(true);
+  CoalescingRig off(false);
+  for (CoalescingRig* rig : {&on, &off}) {
+    for (int bus = 0; bus < 3; ++bus) rig->Start(bus, /*page=*/1, 8192);
+    rig->Start(0, /*page=*/5, 8192);
+    rig->simulator.ScheduleAt(3 * kMicrosecond, [rig]() {
+      rig->Start(0, /*page=*/2, 4096);
+    });
+  }
+  for (CoalescingRig* rig : {&on, &off}) {
+    rig->simulator.RunUntil(5 * kMicrosecond + 123);
+  }
+  // The state between RunUntil calls is the per-chunk one, to the event.
+  EXPECT_EQ(on.simulator.ExecutedEvents(), off.simulator.ExecutedEvents());
+  EXPECT_LT(on.simulator.SteppedEvents(), off.simulator.SteppedEvents());
+  for (CoalescingRig* rig : {&on, &off}) {
+    rig->Start(1, /*page=*/9, 8192);
+    rig->Start(0, /*page=*/6, 2048);
+    rig->simulator.RunUntil(kMillisecond);
+  }
+
+  EXPECT_EQ(on.completions, off.completions);
+  for (Tick when : on.completions) EXPECT_GT(when, 0);
+  EXPECT_EQ(on.simulator.ExecutedEvents(), off.simulator.ExecutedEvents());
+  EXPECT_LT(on.simulator.SteppedEvents(), off.simulator.SteppedEvents());
+  ExpectSameChips(on, off);
+  for (int bus = 0; bus < on.controller->bus_count(); ++bus) {
+    EXPECT_EQ(on.controller->bus(bus).ChunksIssued(),
+              off.controller->bus(bus).ChunksIssued());
+  }
+  const RunningMean& service_on = on.controller->ChunkServiceTime();
+  const RunningMean& service_off = off.controller->ChunkServiceTime();
+  EXPECT_EQ(service_on.Count(), service_off.Count());
+  EXPECT_EQ(service_on.Sum(), service_off.Sum());
+  EXPECT_EQ(on.controller->TransferLatency().Sum(),
+            off.controller->TransferLatency().Sum());
+}
+
+TEST(ChunkRunGroupTest, OutsideEventOnAGroupEventsTickGoesFirst) {
+  // A lone transfer issues a chunk every bus slot. A CPU access scheduled
+  // ahead for the very tick of its fourth issue is the run's horizon: per
+  // chunk its event is the older one, so it executes first and the chunk
+  // queues behind it. A run must stop strictly before that tick.
+  CoalescingRig on(true);
+  CoalescingRig off(false);
+  const Tick slot = on.controller->bus(0).SlotTime();
+  for (CoalescingRig* rig : {&on, &off}) {
+    rig->simulator.ScheduleAt(3 * slot, [rig]() {
+      rig->controller->CpuAccess(/*page=*/1, 64,
+                                 [rig](Tick when) { rig->cpu_done = when; });
+    });
+    rig->Start(0, /*page=*/1, 8192);
+    rig->simulator.RunUntil(kMillisecond);
+  }
+  EXPECT_GT(on.cpu_done, 3 * slot);
+  EXPECT_EQ(on.cpu_done, off.cpu_done);
+  EXPECT_EQ(on.completions, off.completions);
+  EXPECT_EQ(on.simulator.ExecutedEvents(), off.simulator.ExecutedEvents());
+  EXPECT_LT(on.simulator.SteppedEvents(), off.simulator.SteppedEvents());
+  ExpectSameChips(on, off);
 }
 
 }  // namespace

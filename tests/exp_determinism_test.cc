@@ -9,12 +9,14 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "exp/result_sink.h"
 #include "exp/sweep_runner.h"
 #include "mon/scheme_parser.h"
+#include "results_compare.h"
 #include "server/simulation_driver.h"
 #include "trace/workloads.h"
 #include "util/fnv.h"
@@ -191,7 +193,8 @@ TEST(DeterminismTest, PinnedDatabaseRunIsStable) {
   EXPECT_EQ(Bits(r.client_response.Mean()), 0x41862c5f24f52ee0ULL)
       << std::hex << Bits(r.client_response.Mean());
   EXPECT_EQ(r.executed_events, 640921u);
-  EXPECT_EQ(r.stepped_events, 611314u);
+  // Group chunk runs moved only this count (611,314 -> 611,213).
+  EXPECT_EQ(r.stepped_events, 611213u);
   EXPECT_EQ(r.server.cpu_accesses, 247725u);
   EXPECT_EQ(r.gated_requests, 722u);
   EXPECT_EQ(r.releases_by_slack, 722u);
@@ -278,26 +281,85 @@ TEST(DeterminismTest, PinnedLayoutRoundsAreStable) {
   }
 }
 
+// Chunk-run coalescing must be a pure host-time optimization: the same
+// trace run with coalescing forced off (the strict two-events-per-chunk
+// execution) yields the same SimulationResults in every field, doubles
+// to the bit, down to the logical event count. Only the real queue pops
+// (stepped events and the calendar counters) may differ, and only
+// downwards. Returns {stepped with runs, stepped without}.
+std::pair<std::uint64_t, std::uint64_t> ExpectCoalescingInvisible(
+    const Trace& trace, const WorkloadSpec& spec,
+    const SimulationOptions& options) {
+  SimulationOptions off = options;
+  off.memory.coalesce_chunk_runs = false;
+  const SimulationResults with_runs =
+      RunTrace(trace, spec.miss_ratio, spec.duration, options, spec.name);
+  const SimulationResults without_runs =
+      RunTrace(trace, spec.miss_ratio, spec.duration, off, spec.name);
+  ExpectSameOutcome(with_runs, without_runs);
+  EXPECT_LE(with_runs.stepped_events, without_runs.stepped_events);
+  return {with_runs.stepped_events, without_runs.stepped_events};
+}
+
 TEST(DeterminismTest, ChunkRunCoalescingIsArtifactInvisible) {
-  // The coalescing fast path must be a pure wall-clock optimization:
-  // running the same workload with coalescing forced off yields the
-  // identical artifact, down to the logical event count. Only the
-  // stepped (real queue pop) count may differ.
   const WorkloadSpec spec = SmallWorkload(SyntheticStorageSpec());
   SimulationOptions options;
   options.memory.dma.ta.enabled = true;
   options.memory.dma.ta.mu = 2.0;
   options.memory.dma.pl.enabled = true;
+  ExpectCoalescingInvisible(GenerateWorkload(spec), spec, options);
+}
 
-  SimulationOptions off = options;
-  off.memory.coalesce_chunk_runs = false;
+TEST(DeterminismTest, ChunkRunCoalescingIsInvisibleOnTheMonitoredBenchmark) {
+  // The oltp-st-mon benchmark's configuration at 60 ms: DMA-TA-PL(2) with
+  // the hot_cold.scheme monitor, mu calibrated at CP-Limit 10% from the
+  // baseline. PL concentrates traffic on a few hot chips, so most runs
+  // are groups of several transfers streaming from several buses.
+  WorkloadSpec spec = OltpStorageSpec();
+  spec.duration = 60 * kMillisecond;
+  const Trace trace = GenerateWorkload(spec);
+  const SchemeParseResult schemes = ParseSchemeFile(
+      std::string(DMASIM_SOURCE_DIR) + "/examples/schemes/hot_cold.scheme");
+  ASSERT_TRUE(schemes.ok()) << schemes.error;
 
-  const SimulationResults with_runs = RunWorkload(spec, options);
-  const SimulationResults without_runs = RunWorkload(spec, off);
-  ExpectIdenticalResults(with_runs, without_runs);
-  EXPECT_EQ(with_runs.executed_events, without_runs.executed_events);
-  // Coalescing can only reduce real pops, never add them.
-  EXPECT_LE(with_runs.stepped_events, without_runs.stepped_events);
+  SimulationOptions options;
+  const SimulationResults baseline =
+      RunTrace(trace, spec.miss_ratio, spec.duration, options, spec.name);
+  options.memory.dma.ta.enabled = true;
+  options.memory.dma.ta.mu = Calibrate(baseline).MuFor(0.10);
+  options.memory.dma.pl.enabled = true;
+  options.memory.monitor.enabled = true;
+  options.memory.monitor.rules = schemes.rules;
+  const auto [with_runs, without_runs] =
+      ExpectCoalescingInvisible(trace, spec, options);
+  // The group runs fire: at most three pops in four of the per-chunk run.
+  EXPECT_LE(4 * with_runs, 3 * without_runs);
+}
+
+TEST(DeterminismTest, ChunkRunCoalescingIsInvisibleWhileGating) {
+  // DMA-TA alone at a mu that gates thousands of first requests, so runs
+  // start and stop around gated chips, releases and epochs.
+  WorkloadSpec spec = OltpStorageSpec();
+  spec.duration = 60 * kMillisecond;
+  const Trace trace = GenerateWorkload(spec);
+  SimulationOptions options;
+  options.memory.dma.ta.enabled = true;
+  options.memory.dma.ta.mu = 20.0;
+  const SimulationResults gated =
+      RunTrace(trace, spec.miss_ratio, spec.duration, options, spec.name);
+  EXPECT_GT(gated.gated_requests, 1000u);
+  ExpectCoalescingInvisible(trace, spec, options);
+}
+
+TEST(DeterminismTest, ChunkRunCoalescingIsInvisibleOnDss) {
+  // DSS-St's long scans keep several transfers streaming to one chip.
+  WorkloadSpec spec = DssStorageSpec();
+  spec.duration = 20 * kMillisecond;
+  SimulationOptions options;
+  options.memory.dma.ta.enabled = true;
+  options.memory.dma.ta.mu = 2.0;
+  options.memory.dma.pl.enabled = true;
+  ExpectCoalescingInvisible(GenerateWorkload(spec), spec, options);
 }
 
 TEST(DeterminismTest, ParallelSweepJsonIsByteIdenticalToSerial) {

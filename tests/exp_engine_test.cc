@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/temporal_aligner.h"
 #include "exp/experiment_spec.h"
 #include "exp/json.h"
 #include "exp/result_sink.h"
@@ -226,6 +227,14 @@ TEST(ValidateOptionsTest, CatchesBadConfigurations) {
   EXPECT_NE(ValidateOptions(options), "");
 }
 
+TEST(ValidateOptionsTest, BusCountStopsAtTheAlignersLimit) {
+  SimulationOptions options;
+  options.memory.bus_count = TemporalAligner::kMaxBuses;
+  EXPECT_EQ(ValidateOptions(options), "");
+  options.memory.bus_count = TemporalAligner::kMaxBuses + 1;
+  EXPECT_EQ(ValidateOptions(options), "bus_count must be in [1, 64]");
+}
+
 // ------------------------------------------------------------- Runner.
 
 TEST(SweepRunnerTest, FailedConfigDoesNotAbortSweep) {
@@ -271,6 +280,31 @@ TEST(SweepRunnerTest, CellWhoseWorkloadOutgrowsItsMemoryFailsAlone) {
   const RunRecord* paper = sweep.FindBaseline(1);
   ASSERT_NE(paper, nullptr);
   EXPECT_TRUE(paper->ok());
+}
+
+TEST(SweepRunnerTest, CellPastTheBusLimitFailsAsARun) {
+  // The aligner and the controller's group runs hold a bus set in one
+  // 64-bit word, so a 65-bus cell fails as a run naming the limit (it
+  // aborted the whole sweep before), and the 64-bus cell runs.
+  ExperimentSpec spec;
+  spec.workloads = {TinyWorkload()};
+  spec.schemes = {TaScheme()};
+  spec.cp_limits = {0.10};
+  spec.bus_counts = {64, 65};
+
+  SweepRunner runner(ThreadedOptions(2));
+  const SweepResults sweep = runner.Run(spec);
+  ASSERT_EQ(sweep.records.size(), 4u);
+  EXPECT_EQ(sweep.summary.ok, 2);
+  EXPECT_EQ(sweep.summary.failed, 1);
+  EXPECT_EQ(sweep.summary.skipped, 1);
+  const RunRecord* past = sweep.FindBaseline(1);
+  ASSERT_NE(past, nullptr);
+  EXPECT_EQ(past->status, RunRecord::Status::kFailed);
+  EXPECT_EQ(past->error, "bus_count must be in [1, 64]");
+  const RunRecord* at = sweep.FindBaseline(0);
+  ASSERT_NE(at, nullptr);
+  EXPECT_TRUE(at->ok());
 }
 
 TEST(SweepRunnerTest, ComputesDeltasAndMu) {

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "mon/scheme_parser.h"
+#include "results_compare.h"
 #include "server/fleet_driver.h"
 #include "server/simulation_driver.h"
 #include "stats/energy.h"
@@ -175,8 +176,10 @@ TEST(FleetDeterminismTest, PinnedFleetFingerprintIsStable) {
     // Re-pinned when routing replaced the engine's messages: every
     // energy, latency and traffic statistic held; the executed and
     // stepped event counts and the engine's windows (70 -> 1) and
-    // delivered messages (94 -> 0) moved.
-    EXPECT_EQ(results.Fingerprint(), 8646216335245846963ULL);
+    // delivered messages (94 -> 0) moved. Re-pinned again for group
+    // chunk runs: only the stepped counts moved (35,008 -> 34,317 over
+    // the domains); with them zeroed the hash is unchanged.
+    EXPECT_EQ(results.Fingerprint(), 13676235440132202874ULL);
     EXPECT_EQ(results.engine.windows, 1u);
 #endif
   }
@@ -201,11 +204,46 @@ TEST(FleetDeterminismTest, PinnedFleetLayoutRoundsAreStable) {
     EXPECT_GT(migrations, 0u);
 #if defined(__GNUC__) && !defined(__clang__)
     // Compiler-gated for the same reason as the pinned sweep checksum.
-    // Re-pinned with routing, as above (windows 2,629 -> 1).
-    EXPECT_EQ(results.Fingerprint(), 6832449865521269177ULL);
+    // Re-pinned with routing, as above (windows 2,629 -> 1), and for
+    // group chunk runs: stepped 2,133,493 -> 1,961,858, nothing else.
+    EXPECT_EQ(results.Fingerprint(), 8629831214915258209ULL);
     EXPECT_EQ(migrations, 7362u);
     EXPECT_EQ(results.engine.windows, 1u);
 #endif
+  }
+}
+
+// Chunk-run coalescing on a DMA-TA-PL fleet, the fleet-oltp-st benchmark's
+// shape at 60 ms: with coalescing forced off, every domain's results are
+// the same in every field but the queue's own pops, at 1 and at 4
+// threads, and so are the remote-read statistics.
+TEST(FleetDeterminismTest, ChunkRunCoalescingIsInvisiblePerDomain) {
+  FleetOptions options = PinnedFleet(60 * kMillisecond);
+  options.base.memory.dma.ta.enabled = true;
+  options.base.memory.dma.ta.mu = 2.0;
+  options.base.memory.dma.pl.enabled = true;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    options.sim_threads = threads;
+    FleetOptions off = options;
+    off.base.memory.coalesce_chunk_runs = false;
+    const FleetResults with_runs = RunFleet(options);
+    const FleetResults without_runs = RunFleet(off);
+    ASSERT_EQ(with_runs.domains.size(), 8u);
+    ASSERT_EQ(without_runs.domains.size(), 8u);
+    EXPECT_GT(with_runs.remote_completed, 0u);
+    for (std::size_t i = 0; i < with_runs.domains.size(); ++i) {
+      SCOPED_TRACE("domain " + std::to_string(i));
+      const FleetDomainResults& a = with_runs.domains[i];
+      const FleetDomainResults& b = without_runs.domains[i];
+      ExpectSameOutcome(a.results, b.results);
+      EXPECT_LT(a.results.stepped_events, b.results.stepped_events);
+      EXPECT_EQ(a.remote_sent, b.remote_sent);
+      EXPECT_EQ(a.remote_served, b.remote_served);
+      EXPECT_EQ(a.remote_completed, b.remote_completed);
+      ExpectSameRunningMean(a.remote_response, b.remote_response,
+                            "remote_response");
+    }
   }
 }
 

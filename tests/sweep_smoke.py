@@ -33,6 +33,9 @@ import subprocess
 import sys
 import tempfile
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
+from artifact_diff import strip_timing  # noqa: E402  (one timing-key list)
+
 SWEEP = ["--workloads", "oltp-st", "--cp-limits", "0.10",
          "--duration-ms", "20"]
 
@@ -69,16 +72,6 @@ def instrumented(binary, scratch):
             problems.append(f"{path.name}: dropped "
                             f"{doc['metadata']['dropped_events']} events")
     return problems
-
-
-def strip_timing(node):
-    """Drops the artifact's only host-dependent fields (result_sink.h)."""
-    if isinstance(node, dict):
-        return {k: strip_timing(v) for k, v in node.items()
-                if k not in ("wall_seconds", "threads")}
-    if isinstance(node, list):
-        return [strip_timing(v) for v in node]
-    return node
 
 
 def chip_models(binary, scratch):

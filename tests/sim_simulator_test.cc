@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <string>
 #include <tuple>
@@ -523,6 +524,58 @@ TEST(SimulatorCalendarTest, NextPendingTickPeeksWithoutExecuting) {
   EXPECT_EQ(simulator.PendingEvents(), 2u);
   simulator.Run();
   EXPECT_EQ(simulator.NextPendingTick(), Simulator::kNoPendingEvent);
+}
+
+TEST(SimulatorCalendarTest, NextPendingTickSkippingFindsTheEarliestKept) {
+  // Events in every tier: the serving bucket, later buckets of its span,
+  // later level-1 spans and the overflow list. Skipping any prefix of
+  // them in time order, the answer is the earliest event not skipped,
+  // and peeking never executes anything.
+  const Tick kSpan = kBucketSpan << 10;  // One level-1 span.
+  const std::vector<Tick> times = {
+      5, 5, 9, kBucketSpan + 3, 7 * kBucketSpan, kSpan + 11,
+      600 * kSpan, 2000 * kSpan, 5000 * kSpan};
+  Simulator simulator;
+  std::vector<Simulator::EventRef> events;
+  for (Tick when : times) {
+    events.push_back({when, simulator.ScheduleAt(when, []() {})});
+  }
+  for (std::size_t skipped = 0; skipped <= events.size(); ++skipped) {
+    SCOPED_TRACE("skipping " + std::to_string(skipped));
+    const Tick want = skipped < events.size() ? events[skipped].when
+                                              : Simulator::kNoPendingEvent;
+    EXPECT_EQ(simulator.NextPendingTickSkipping(events.data(), skipped),
+              want);
+    // The same set named in another order.
+    std::vector<Simulator::EventRef> reversed(events.begin(),
+                                              events.begin() + skipped);
+    std::reverse(reversed.begin(), reversed.end());
+    EXPECT_EQ(simulator.NextPendingTickSkipping(reversed.data(), skipped),
+              want);
+  }
+  // Skipping only a later event leaves the earliest one.
+  EXPECT_EQ(simulator.NextPendingTickSkipping(&events[6], 1), 5);
+  EXPECT_EQ(simulator.ExecutedEvents(), 0u);
+  EXPECT_EQ(simulator.PendingEvents(), times.size());
+  simulator.Run();
+  EXPECT_EQ(simulator.ExecutedEvents(), times.size());
+}
+
+TEST(SimulatorCalendarTest, LoopBoundIsWhereControlReturns) {
+  Simulator simulator;
+  Tick seen = -1;
+  simulator.ScheduleAt(10, [&]() { seen = simulator.LoopBound(); });
+  simulator.RunUntil(100);
+  EXPECT_EQ(seen, 101);  // RunUntil(T) runs every event at T.
+  simulator.ScheduleAt(150, [&]() { seen = simulator.LoopBound(); });
+  simulator.RunEventsBefore(200);
+  EXPECT_EQ(seen, 200);
+  simulator.ScheduleAt(250, [&]() { seen = simulator.LoopBound(); });
+  simulator.Step();
+  EXPECT_EQ(seen, std::numeric_limits<Tick>::min());
+  simulator.ScheduleAt(300, [&]() { seen = simulator.LoopBound(); });
+  simulator.Run();
+  EXPECT_EQ(seen, Simulator::kNoPendingEvent);
 }
 
 }  // namespace

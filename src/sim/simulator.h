@@ -8,8 +8,11 @@
 // binary heap: schedule and pop are O(1) amortized, and the hot serving
 // bucket is a flat sorted vector of trivially-copyable events, so draining
 // it is a linear scan and an event scheduled into it a few slots from its
-// end is inserted in place. See DESIGN.md "Event kernel internals" for
-// the bucketing scheme and the exact-ordering argument.
+// end is inserted in place. One pending event is held outside the
+// calendar: the earliest scheduled since the slot last emptied, which is
+// usually the next to pop and then never enters the calendar. See
+// DESIGN.md "Event kernel internals" for the bucketing scheme and the
+// exact-ordering argument.
 //
 // Components that need to cancel timers (e.g. idle-threshold timers in
 // `MemoryChip`) use generation counters: the callback captures the
@@ -56,8 +59,18 @@ class Simulator {
     DMASIM_EXPECTS(when >= now_);
     DMASIM_EXPECTS(callback);
     const std::uint64_t sequence = next_sequence_++;
-    Insert(Event{when, sequence, std::move(callback)});
     ++size_;
+    if (!holding_) {
+      held_ = Event{when, sequence, std::move(callback)};
+      holding_ = true;
+    } else if (when < held_.when) {
+      // The newest event is now the earliest scheduled since the slot
+      // emptied; the one it displaces keeps its older sequence number.
+      Insert(held_);
+      held_ = Event{when, sequence, std::move(callback)};
+    } else {
+      Insert(Event{when, sequence, std::move(callback)});
+    }
     return sequence;
   }
 
@@ -78,13 +91,13 @@ class Simulator {
   // resolve nothing ahead of it (LoopBound).
   bool Step() {
     loop_bound_ = std::numeric_limits<Tick>::min();
-    return StepEvent();
+    return StepEvent(kNoPendingEvent);
   }
 
   // Runs until the event queue is drained.
   void Run() {
     loop_bound_ = kNoPendingEvent;
-    while (StepEvent()) {
+    while (StepEvent(kNoPendingEvent)) {
     }
   }
 
@@ -93,8 +106,7 @@ class Simulator {
   void RunUntil(Tick until) {
     DMASIM_EXPECTS(until >= now_);
     loop_bound_ = until < kNoPendingEvent ? until + 1 : until;
-    while (EnsureServing() && serving_[serving_pos_].when <= until) {
-      StepEvent();
+    while (StepEvent(until)) {
     }
     now_ = until;
   }
@@ -105,13 +117,12 @@ class Simulator {
   // execute everything before the conservative horizon, but its clock
   // must stay at its own last event so cross-shard deliveries scheduled
   // at the horizon still satisfy ScheduleAt's `when >= Now()` contract.
-  // Returns the number of events executed.
+  // Returns the number of events popped.
   std::uint64_t RunEventsBefore(Tick bound) {
     loop_bound_ = bound;
     std::uint64_t ran = 0;
-    while (EnsureServing() && serving_[serving_pos_].when < bound) {
-      StepEvent();
-      ++ran;
+    if (bound > now_) {
+      while (StepEvent(bound - 1)) ++ran;
     }
     return ran;
   }
@@ -130,8 +141,8 @@ class Simulator {
   // only absorbs work that finishes strictly before the next event.
   static constexpr Tick kNoPendingEvent = std::numeric_limits<Tick>::max();
   Tick NextPendingTick() {
-    if (!EnsureServing()) return kNoPendingEvent;
-    return serving_[serving_pos_].when;
+    if (holding_ && HeldPopsFirst()) return held_.when;
+    return EnsureServing() ? serving_[serving_pos_].when : kNoPendingEvent;
   }
 
   // A sequence number no event carries (all count up from 0): an owner
@@ -151,44 +162,15 @@ class Simulator {
   // group run (MemoryController) takes over its own few pending events
   // and asks for the horizon past them.
   Tick NextPendingTickSkipping(const EventRef* skip, std::size_t count) {
-    if (!EnsureServing()) return kNoPendingEvent;
     const auto skipped = [skip, count](const Event& event) {
       for (std::size_t i = 0; i < count; ++i) {
         if (skip[i].sequence == event.sequence) return true;
       }
       return false;
     };
-    // The serving bucket is sorted from the cursor on (EnsureServing).
-    for (std::size_t i = serving_pos_; i < serving_.size(); ++i) {
-      if (!skipped(serving_[i])) return serving_[i].when;
-    }
-    const auto earliest_kept = [&skipped](const std::vector<Event>& events) {
-      Tick best = kNoPendingEvent;
-      for (const Event& event : events) {
-        if (event.when < best && !skipped(event)) best = event.when;
-      }
-      return best;
-    };
-    // Later level-0 buckets of the current span come in time order.
-    for (std::size_t slot =
-             NextSetBit(level0_bits_, (serving_bucket_ & (kBuckets - 1)) + 1);
-         slot < kBuckets; slot = NextSetBit(level0_bits_, slot + 1)) {
-      const Tick best = earliest_kept(level0_[slot]);
-      if (best != kNoPendingEvent) return best;
-    }
-    // Later spans: the level-1 window in order (it wraps the array), and
-    // the overflow list, which may hold spans at or before a level-1 slot.
-    const std::size_t first1 =
-        ((serving_bucket_ >> kBucketBits) + 1) & (kBuckets - 1);
-    Tick best = kNoPendingEvent;
-    for (std::size_t step = 0;
-         step + 1 < kBuckets && best == kNoPendingEvent; ++step) {
-      const std::size_t slot = (first1 + step) & (kBuckets - 1);
-      if (((level1_bits_[slot >> 6] >> (slot & 63)) & 1) != 0) {
-        best = earliest_kept(level1_[slot]);
-      }
-    }
-    return std::min(best, earliest_kept(overflow_));
+    const Tick held =
+        holding_ && !skipped(held_) ? held_.when : kNoPendingEvent;
+    return std::min(held, CalendarTickSkipping(skipped));
   }
 
   // Sequence number of the event executing now (of the last one popped,
@@ -245,13 +227,62 @@ class Simulator {
   }
 
  private:
-  // Step without touching the loop bound: the loops above set it.
-  bool StepEvent() {
-    if (!EnsureServing()) return false;
+  // The calendar's part of NextPendingTickSkipping: the held event is
+  // the caller's.
+  template <typename Skipped>
+  Tick CalendarTickSkipping(const Skipped& skipped) {
+    if (!EnsureServing()) return kNoPendingEvent;
+    // The serving bucket is sorted from the cursor on (EnsureServing).
+    for (std::size_t i = serving_pos_; i < serving_.size(); ++i) {
+      if (!skipped(serving_[i])) return serving_[i].when;
+    }
+    const auto earliest_kept = [&skipped](const std::vector<Event>& events) {
+      Tick best = kNoPendingEvent;
+      for (const Event& event : events) {
+        if (event.when < best && !skipped(event)) best = event.when;
+      }
+      return best;
+    };
+    // Later level-0 buckets of the current span come in time order.
+    for (std::size_t slot =
+             NextSetBit(level0_bits_, (serving_bucket_ & (kBuckets - 1)) + 1);
+         slot < kBuckets; slot = NextSetBit(level0_bits_, slot + 1)) {
+      const Tick best = earliest_kept(level0_[slot]);
+      if (best != kNoPendingEvent) return best;
+    }
+    // Later spans: the level-1 window in order (it wraps the array), and
+    // the overflow list, which may hold spans at or before a level-1 slot.
+    const std::size_t first1 =
+        ((serving_bucket_ >> kBucketBits) + 1) & (kBuckets - 1);
+    Tick best = kNoPendingEvent;
+    for (std::size_t step = 0;
+         step + 1 < kBuckets && best == kNoPendingEvent; ++step) {
+      const std::size_t slot = (first1 + step) & (kBuckets - 1);
+      if (((level1_bits_[slot >> 6] >> (slot & 63)) & 1) != 0) {
+        best = earliest_kept(level1_[slot]);
+      }
+    }
+    return std::min(best, earliest_kept(overflow_));
+  }
+
+  // Pops and executes the earliest pending event if it is due at or
+  // before `last`; returns false, popping nothing, otherwise. Does not
+  // touch the loop bound: the loops above set it.
+  bool StepEvent(Tick last) {
     // The callback may schedule into the serving bucket (shifting or
-    // reallocating it), so copy the event out first, once; events are
-    // trivially copyable.
-    Event event = serving_[serving_pos_++];
+    // reallocating it) or into the emptied slot, so copy the event out
+    // first, once; events are trivially copyable.
+    Event event;
+    if (holding_ && HeldPopsFirst()) {
+      if (held_.when > last) return false;
+      event = held_;
+      holding_ = false;
+    } else {
+      if (!EnsureServing() || serving_[serving_pos_].when > last) {
+        return false;
+      }
+      event = serving_[serving_pos_++];
+    }
     DMASIM_CHECK_GE(event.when, now_);
     // Pops must advance in strict (time, sequence) lexicographic order —
     // the property the wheel's bucketing, cascades, and overflow refills
@@ -316,9 +347,11 @@ class Simulator {
         static_cast<std::uint64_t>(event.when) >> kLevel0Bits;
     if (b0 <= serving_bucket_) {
       // Current bucket — or behind it, which happens when RunUntil parked
-      // the wheel on a far-future bucket and the clock (and subsequent
-      // schedules) sit in the gap. Every event already in the wheel is in
-      // a later bucket, so the serving bucket alone decides its place.
+      // the wheel on a far-future bucket, or a pop turned it to compare
+      // the held event with the calendar's head, and the clock (and
+      // subsequent schedules) sit in the gap. Every event already in the
+      // wheel is in a later bucket, so the serving bucket alone decides
+      // its place.
       InsertServing(event);
       return;
     }
@@ -349,20 +382,20 @@ class Simulator {
   // would make a long shift per event, so it goes to the lazy tail.
   static constexpr std::size_t kInPlaceSlots = 8;
 
-  // The new event carries the largest sequence number issued so far, so
-  // its (when, sequence) place is after every pending event at or before
-  // its time: comparing times alone is exact. Scan back from the end at
-  // most kInPlaceSlots events; if the place is found, shift the events
+  // Scan back from the end at most kInPlaceSlots events for the new
+  // event's (when, sequence) place; if it is found, shift the events
   // after it by one slot and the bucket stays sorted. Otherwise (or when
   // an unsorted tail already exists) append, and the next pop sorts the
-  // tail and merges it into the remainder.
+  // tail and merges it into the remainder. The scan compares sequence
+  // numbers too: an event displaced from the held slot is older than
+  // events at its own time that were scheduled while it was held.
   void InsertServing(const Event& event) {
     std::size_t pos = serving_.size();
     if (serving_ready_ == pos) {  // No unsorted tail.
       const std::size_t floor =
           pos - std::min(pos - serving_pos_, kInPlaceSlots);
-      while (pos > floor && event.when < serving_[pos - 1].when) --pos;
-      if (pos == serving_pos_ || !(event.when < serving_[pos - 1].when)) {
+      while (pos > floor && Earlier(event, serving_[pos - 1])) --pos;
+      if (pos == serving_pos_ || !Earlier(event, serving_[pos - 1])) {
         serving_.insert(serving_.begin() + static_cast<std::ptrdiff_t>(pos),
                         event);
         serving_sorted_ = serving_ready_ = serving_.size();
@@ -440,8 +473,26 @@ class Simulator {
                  static_cast<std::uint64_t>(serving_.size()));
   }
 
-  // Makes serving_[serving_pos_] the globally earliest pending event.
-  // Returns false when the queue is empty. One compare while the sorted
+  // Whether the held event (holding_) comes before the calendar's head
+  // in (when, sequence) order. Once the serving bucket is drained, every
+  // calendar event lies in a later bucket, so a held event in this bucket
+  // (or behind it) comes first without turning the wheel; turning it
+  // early would file the events the held one schedules behind the
+  // serving bucket.
+  bool HeldPopsFirst() {
+    if (serving_pos_ < serving_ready_) {
+      return Earlier(held_, serving_[serving_pos_]);
+    }
+    if (serving_pos_ >= serving_.size() &&
+        (static_cast<std::uint64_t>(held_.when) >> kLevel0Bits) <=
+            serving_bucket_) {
+      return true;
+    }
+    return !AdvanceServing() || Earlier(held_, serving_[serving_pos_]);
+  }
+
+  // Makes serving_[serving_pos_] the calendar's earliest event. Returns
+  // false when the calendar is empty. One compare while the sorted
   // serving bucket has events left; the rest is the slow path.
   bool EnsureServing() {
     if (serving_pos_ < serving_ready_) [[likely]] return true;
@@ -565,6 +616,13 @@ class Simulator {
   // CascadeLevel1/refill working space.
   DMASIM_SHARD_LOCAL std::vector<Event> cascade_;
   DMASIM_SHARD_LOCAL CalendarStats calendar_;
+
+  // The held slot: while holding_, held_ is pending outside the
+  // calendar. It is the earliest event scheduled since the slot last
+  // emptied, not necessarily the earliest pending; a pop compares it with
+  // the calendar's head in (when, sequence) order.
+  DMASIM_SHARD_LOCAL Event held_{};
+  DMASIM_SHARD_LOCAL bool holding_ = false;
 
   // Sequence of the last popped event, for the pop-order check in Step().
   DMASIM_SHARD_LOCAL std::uint64_t last_sequence_ = 0;

@@ -326,7 +326,11 @@ TEST(SimulatorCalendarTest, GoldenOrderMatchesBinaryHeapReplay) {
 // bucket being served, from inside the callback it is serving.
 class SelfSchedulingHarness {
  public:
-  explicit SelfSchedulingHarness(std::uint64_t seed) : rng_(seed) {}
+  // `dense` draws most offsets from 0..3 ticks, so children often share
+  // a tick with pending events or come before the held one (Simulator's
+  // held slot), which then moves into the calendar.
+  explicit SelfSchedulingHarness(std::uint64_t seed, bool dense = false)
+      : rng_(seed), dense_(dense) {}
 
   Simulator& simulator() { return simulator_; }
   Rng& rng() { return rng_; }
@@ -349,6 +353,9 @@ class SelfSchedulingHarness {
   // bucket, a later level-0 bucket, level 1, and past the wheel horizon.
   Tick TierOffset() {
     const Tick now = simulator_.Now();
+    if (dense_ && rng_.NextBounded(4) != 0) {
+      return static_cast<Tick>(rng_.NextBounded(4));
+    }
     switch (rng_.NextBounded(20)) {
       case 0: case 1: case 2: case 3: case 4:
         return 0;
@@ -414,6 +421,7 @@ class SelfSchedulingHarness {
   using Entry = std::tuple<Tick, std::uint64_t, int>;  // when, sequence, id
   Simulator simulator_;
   Rng rng_;
+  bool dense_;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
       reference_;
   std::uint64_t next_sequence_ = 0;
@@ -423,60 +431,79 @@ class SelfSchedulingHarness {
   std::vector<std::string> mismatches_;
 };
 
+// Drives a harness with Step, RunUntil, RunEventsBefore and peeks drawn at
+// random until its budget is spent and the queue drains. A sparse run
+// also bulk-loads the serving bucket twice; a dense one does not, since
+// a bucket full of later events sends most inserts to the sorted tail,
+// and dense runs are there for the in-place scan.
+void RunAgainstReferenceQueue(std::uint64_t seed, bool dense) {
+  SelfSchedulingHarness harness(seed, dense);
+  Simulator& simulator = harness.simulator();
+  // Two bulk loads into the serving bucket: the first event (at tick 0,
+  // a bucket start) spreads one across the whole bucket, and a later one
+  // lands wherever the run is after a few thousand pops.
+  harness.Schedule(0);
+  if (!dense) harness.ArmBulk(4096);
+  for (int i = 0; i < 64; ++i) harness.Schedule(harness.TierOffset());
+
+  int actions = 0;
+  bool second_bulk = dense;
+  while (harness.pending() > 0) {
+    ASSERT_LT(++actions, 1000000);
+    if (!second_bulk && harness.executed() >= 5000) {
+      harness.ArmBulk(4500);
+      second_bulk = true;
+    }
+    const std::uint64_t before = harness.executed();
+    switch (harness.rng().NextBounded(10)) {
+      case 0: case 1: case 2: case 3: case 4:
+        ASSERT_TRUE(simulator.Step());
+        EXPECT_EQ(harness.executed(), before + 1);
+        break;
+      case 5: case 6: {
+        const Tick until = simulator.Now() + harness.TierOffset();
+        simulator.RunUntil(until);
+        EXPECT_EQ(simulator.Now(), until);
+        EXPECT_GT(harness.NextReferenceTick(), until);
+        break;
+      }
+      case 7: case 8: {
+        const Tick bound = simulator.Now() + harness.TierOffset();
+        const std::uint64_t ran = simulator.RunEventsBefore(bound);
+        EXPECT_EQ(ran, harness.executed() - before);
+        EXPECT_GE(harness.NextReferenceTick(), bound);
+        break;
+      }
+      default:
+        EXPECT_EQ(simulator.NextPendingTick(), harness.NextReferenceTick());
+        break;
+    }
+    EXPECT_EQ(simulator.PendingEvents(), harness.pending());
+    EXPECT_EQ(simulator.ExecutedEvents(), harness.executed());
+    EXPECT_EQ(simulator.SteppedEvents(), harness.executed());
+    ASSERT_TRUE(harness.mismatches().empty())
+        << harness.mismatches().size() << " mismatches; first: "
+        << harness.mismatches().front();
+  }
+  EXPECT_TRUE(second_bulk);
+  EXPECT_FALSE(simulator.Step());
+  EXPECT_GE(harness.executed(), 30000u);
+}
+
 TEST(SimulatorCalendarTest, SelfSchedulingMatchesReferenceQueue) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    SelfSchedulingHarness harness(seed);
-    Simulator& simulator = harness.simulator();
-    // Two bulk loads into the serving bucket: the first event (at tick 0,
-    // a bucket start) spreads one across the whole bucket, and a later one
-    // lands wherever the run is after a few thousand pops.
-    harness.Schedule(0);
-    harness.ArmBulk(4096);
-    for (int i = 0; i < 64; ++i) harness.Schedule(harness.TierOffset());
+    RunAgainstReferenceQueue(seed, /*dense=*/false);
+  }
+}
 
-    int actions = 0;
-    bool second_bulk = false;
-    while (harness.pending() > 0) {
-      ASSERT_LT(++actions, 1000000);
-      if (!second_bulk && harness.executed() >= 5000) {
-        harness.ArmBulk(4500);
-        second_bulk = true;
-      }
-      const std::uint64_t before = harness.executed();
-      switch (harness.rng().NextBounded(10)) {
-        case 0: case 1: case 2: case 3: case 4:
-          ASSERT_TRUE(simulator.Step());
-          EXPECT_EQ(harness.executed(), before + 1);
-          break;
-        case 5: case 6: {
-          const Tick until = simulator.Now() + harness.TierOffset();
-          simulator.RunUntil(until);
-          EXPECT_EQ(simulator.Now(), until);
-          EXPECT_GT(harness.NextReferenceTick(), until);
-          break;
-        }
-        case 7: case 8: {
-          const Tick bound = simulator.Now() + harness.TierOffset();
-          const std::uint64_t ran = simulator.RunEventsBefore(bound);
-          EXPECT_EQ(ran, harness.executed() - before);
-          EXPECT_GE(harness.NextReferenceTick(), bound);
-          break;
-        }
-        default:
-          EXPECT_EQ(simulator.NextPendingTick(), harness.NextReferenceTick());
-          break;
-      }
-      EXPECT_EQ(simulator.PendingEvents(), harness.pending());
-      EXPECT_EQ(simulator.ExecutedEvents(), harness.executed());
-      EXPECT_EQ(simulator.SteppedEvents(), harness.executed());
-      ASSERT_TRUE(harness.mismatches().empty())
-          << harness.mismatches().size() << " mismatches; first: "
-          << harness.mismatches().front();
-    }
-    EXPECT_TRUE(second_bulk);
-    EXPECT_FALSE(simulator.Step());
-    EXPECT_GE(harness.executed(), 30000u);
+TEST(SimulatorCalendarTest, SameTickSchedulingMatchesReferenceQueue) {
+  // Three in four children land 0..3 ticks ahead: the held event is
+  // displaced into the serving bucket all the time, often onto a tick
+  // where events scheduled after it already wait.
+  for (const std::uint64_t seed : {4u, 5u, 6u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RunAgainstReferenceQueue(seed, /*dense=*/true);
   }
 }
 
@@ -576,6 +603,113 @@ TEST(SimulatorCalendarTest, LoopBoundIsWhereControlReturns) {
   simulator.ScheduleAt(300, [&]() { seen = simulator.LoopBound(); });
   simulator.Run();
   EXPECT_EQ(seen, Simulator::kNoPendingEvent);
+}
+
+// --- The held slot: one pending event outside the calendar, the earliest
+// --- scheduled since the slot last emptied.
+
+TEST(SimulatorHeldSlotTest, DisplacedEventPopsBeforeALaterScheduledTwin) {
+  // A is held, B shares its tick and goes to the serving bucket, then C
+  // is earlier than A and takes the slot, moving A into the bucket
+  // beside B. A was scheduled first, so it pops first: placing it by time
+  // alone would put it after B and trip the pop-order check.
+  for (const int twins : {1, 12}) {  // In place, and past the in-place scan.
+    SCOPED_TRACE(std::to_string(twins) + " twins");
+    Simulator simulator;
+    std::vector<int> order;
+    simulator.ScheduleAt(100, [&order]() { order.push_back(0); });
+    for (int i = 1; i <= twins; ++i) {
+      simulator.ScheduleAt(100, [&order, i]() { order.push_back(i); });
+    }
+    simulator.ScheduleAt(50, [&order]() { order.push_back(-1); });
+    simulator.Run();
+    std::vector<int> expected = {-1};
+    for (int i = 0; i <= twins; ++i) expected.push_back(i);
+    EXPECT_EQ(order, expected);
+  }
+}
+
+TEST(SimulatorHeldSlotTest, DisplacementWhileTheBucketDrainsKeepsOrder) {
+  // The same shape from inside an event popped from the serving bucket,
+  // which is part drained and already holds a later event.
+  Simulator simulator;
+  std::vector<int> order;
+  simulator.ScheduleAt(5, [&order]() { order.push_back(-1); });  // Held.
+  simulator.ScheduleAt(10, [&]() {
+    simulator.ScheduleAt(12, [&order]() { order.push_back(1); });  // Held.
+    simulator.ScheduleAt(12, [&order]() { order.push_back(2); });
+    simulator.ScheduleAt(11, [&order]() { order.push_back(0); });
+  });
+  simulator.ScheduleAt(20, [&order]() { order.push_back(3); });
+  simulator.Run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3}));
+}
+
+TEST(SimulatorHeldSlotTest, QueriesSeeTheHeldEvent) {
+  Simulator simulator;
+  const Simulator::EventRef late{900, simulator.ScheduleAt(900, []() {})};
+  const Simulator::EventRef held{500, simulator.ScheduleAt(500, []() {})};
+  EXPECT_EQ(simulator.PendingEvents(), 2u);
+  EXPECT_EQ(simulator.NextPendingTick(), 500);
+  EXPECT_EQ(simulator.NextPendingTickSkipping(&late, 1), 500);
+  EXPECT_EQ(simulator.NextPendingTickSkipping(&held, 1), 900);
+  const Simulator::EventRef both[] = {held, late};
+  EXPECT_EQ(simulator.NextPendingTickSkipping(both, 2),
+            Simulator::kNoPendingEvent);
+
+  // Inside an event the quiet horizon is the held event or the loop's
+  // bound, whichever comes first.
+  Tick quiet = -1;
+  Tick bound = -1;
+  simulator.ScheduleAt(10, [&]() {
+    quiet = simulator.QuietUntil();
+    bound = simulator.LoopBound();
+  });
+  simulator.RunEventsBefore(300);
+  EXPECT_EQ(quiet, 300);
+  EXPECT_EQ(bound, 300);
+  simulator.ScheduleAt(20, [&]() { quiet = simulator.QuietUntil(); });
+  simulator.RunEventsBefore(700);  // Runs 20 and the held event at 500.
+  EXPECT_EQ(quiet, 500);
+  EXPECT_EQ(simulator.Now(), 500);
+  EXPECT_EQ(simulator.PendingEvents(), 1u);
+
+  // The held event alone, with an empty calendar.
+  Simulator lone;
+  lone.ScheduleAt(42, []() {});
+  EXPECT_EQ(lone.NextPendingTick(), 42);
+  EXPECT_EQ(lone.PendingEvents(), 1u);
+  EXPECT_TRUE(lone.Step());
+  EXPECT_EQ(lone.NextPendingTick(), Simulator::kNoPendingEvent);
+  EXPECT_FALSE(lone.Step());
+}
+
+TEST(SimulatorHeldSlotTest, LoopsStopAtTheirBoundsWhileTheHeldEventWaits) {
+  Simulator simulator;
+  int fired = 0;
+  simulator.ScheduleAt(200, [&fired]() { ++fired; });  // Held.
+  simulator.RunUntil(199);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(simulator.Now(), 199);
+  EXPECT_EQ(simulator.RunEventsBefore(200), 0u);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(simulator.Now(), 199);
+  EXPECT_EQ(simulator.RunEventsBefore(201), 1u);
+  EXPECT_EQ(fired, 1);
+
+  // A held event before the calendar's head: Step runs it and nothing
+  // more.
+  simulator.ScheduleAt(400, [&fired]() { ++fired; });
+  simulator.ScheduleAt(300, [&fired]() { ++fired; });  // Takes the slot.
+  EXPECT_TRUE(simulator.Step());
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(simulator.Now(), 300);
+  simulator.RunUntil(399);
+  EXPECT_EQ(fired, 2);
+  EXPECT_TRUE(simulator.Step());
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(simulator.Now(), 400);
+  EXPECT_FALSE(simulator.Step());
 }
 
 }  // namespace

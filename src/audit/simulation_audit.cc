@@ -488,11 +488,28 @@ void SimulationAudit::RegisterStandardInvariants() {
   // counted (both chips served its last copy chunk) or pending, and the
   // chips served exactly the counted moves' copies, a page read and a
   // page write each, plus the part of the pending moves' copies they
-  // reached.
+  // reached. And every CPU access the controller issued is served,
+  // queued or in service at its chip: inline retirement counts served
+  // accesses that never had a ServeDone event.
   auditor_.Register(
       "work-conservation", AuditPhase::kEndOfRun | AuditPhase::kPeriodic,
       [this](std::string* message) {
         const ControllerStats& stats = controller_->stats();
+        std::uint64_t cpu_served = 0;
+        std::uint64_t cpu_pending = 0;
+        for (int i = 0; i < controller_->chip_count(); ++i) {
+          cpu_served += controller_->chip(i).stats().cpu_requests;
+          cpu_pending += controller_->chip(i).PendingCpuRequests();
+        }
+        if (cpu_served + cpu_pending != stats.cpu_accesses) {
+          *message = Format(
+              "chips served %llu CPU requests and hold %llu more, but the "
+              "controller issued %llu CPU accesses",
+              static_cast<unsigned long long>(cpu_served),
+              static_cast<unsigned long long>(cpu_pending),
+              static_cast<unsigned long long>(stats.cpu_accesses));
+          return false;
+        }
         const std::uint64_t planned = controller_->MigrationsPlanned();
         if (stats.migrations + stats.migrations_pending != planned) {
           *message = Format(

@@ -17,11 +17,11 @@ MemoryChip::MemoryChip(Simulator* simulator, const ChipPowerModel* model,
   if (fsm_.state() == PowerState::kActive) {
     bucket_ = EnergyBucket::kActiveIdleThreshold;
     time_slot_ = &stats_.active_idle_threshold;
-    ArmPolicyTimer();
+    ArmPolicyTimer(simulator_->Now());
   } else {
     bucket_ = EnergyBucket::kLowPower;
     time_slot_ = &stats_.low_power[static_cast<int>(fsm_.state())];
-    ArmPolicyTimer();
+    ArmPolicyTimer(simulator_->Now());
   }
 }
 
@@ -97,7 +97,7 @@ void MemoryChip::EndTransfer() {
     SetAccounting(EnergyBucket::kActiveIdleThreshold,
                   model_->StatePowerMw(PowerState::kActive),
                   &stats_.active_idle_threshold);
-    ArmPolicyTimer();
+    ArmPolicyTimer(simulator_->Now());
   }
 }
 
@@ -123,14 +123,16 @@ void MemoryChip::ServeRequest(ChipRequest&& request, bool retire_inline) {
   AccountTo(simulator_->Now());
   SwitchToServingAccounting(request.kind, request.bytes);
 
-  // Inline retirement of callback-free requests (migration copies). A
-  // request with no completion callback whose service ends strictly
-  // before the next pending event has a ServeDone that can only bump
-  // stats and start the next queued service at the same tick: nothing
-  // else can run, observe, or enqueue in between. Retiring the whole
-  // chain here folds N back-to-back queued services into one scheduled
-  // event while producing identical energy accounting, stats, and
-  // (time, seq) ordering for every surviving event.
+  // Inline retirement of callback-free requests (CPU accesses, migration
+  // copies). A request with no completion callback whose service ends
+  // strictly before the next pending event has a ServeDone that can only
+  // bump stats and, at the same tick, start the next queued service or,
+  // with nothing queued, leave the chip idle and arm the policy timer:
+  // nothing else can run, observe, or enqueue in between. Retiring the
+  // whole chain here, its last request included, folds N back-to-back
+  // services into one scheduled event or none while producing identical
+  // energy accounting, stats, and (time, seq) ordering for every
+  // surviving event.
   //
   // The horizon is only a horizon if nothing runs after this call within
   // the current event: a completion callback that runs later (ServeDone)
@@ -141,19 +143,32 @@ void MemoryChip::ServeRequest(ChipRequest&& request, bool retire_inline) {
   // barrier may deliver a request there that no pending event announces,
   // so the horizon is QuietUntil(), not NextPendingTick().
   Tick issue = simulator_->Now();
-  if (retire_inline && !request.on_complete && HasQueuedRequest()) {
+  if (retire_inline && !request.on_complete) {
     const Tick horizon = simulator_->QuietUntil();
     std::uint64_t batched = 0;
-    while (!request.on_complete && HasQueuedRequest()) {
+    for (;;) {
       const Tick completion =
           issue + ServiceTime(request.kind, request.bytes).value();
       if (completion >= horizon) break;
       AccountTo(completion);
       CountServed(request);
+      if (!HasQueuedRequest()) {
+        // The chain's end: play its ServeDone at the completion tick. The
+        // policy timer draws the sequence number that ServeDone would
+        // have drawn, which orders it after every pending event and
+        // before anything scheduled later, as the popped ServeDone's
+        // timer would be.
+        serving_ = false;
+        if (batched > 0) simulator_->CreditExecuted(batched);
+        simulator_->CreditRetiredEvent(completion);
+        BecomeIdleActive(completion);
+        return;
+      }
       ++batched;
       issue = completion;
       request = PopNextRequest();
       SwitchToServingAccounting(request.kind, request.bytes);
+      if (request.on_complete) break;
     }
     // Keep the logical event count identical to the unbatched kernel.
     if (batched > 0) simulator_->CreditExecuted(batched);
@@ -203,7 +218,7 @@ void MemoryChip::ServeDone() {
     // service may retire inline only if there is no callback.
     StartNextService(/*retire_inline=*/!request.on_complete);
   } else {
-    BecomeIdleActive();
+    BecomeIdleActive(simulator_->Now());
   }
   // Run the completion callback last so that anything it enqueues sees a
   // settled chip state.
@@ -262,22 +277,22 @@ void MemoryChip::FlushObsResidency() {
   obs_interval_start_ = now;
 }
 
-void MemoryChip::BecomeIdleActive() {
+void MemoryChip::BecomeIdleActive(Tick when) {
   DMASIM_CHECK(!serving_ && !fsm_.transitioning());
   DMASIM_CHECK_EQ(fsm_.state(), PowerState::kActive);
+  AccountTo(when);
   if (in_flight_transfers_ > 0) {
-    SetAccounting(EnergyBucket::kActiveIdleDma,
-                  model_->StatePowerMw(PowerState::kActive),
-                  &stats_.active_idle_dma);
+    bucket_ = EnergyBucket::kActiveIdleDma;
+    time_slot_ = &stats_.active_idle_dma;
   } else {
-    SetAccounting(EnergyBucket::kActiveIdleThreshold,
-                  model_->StatePowerMw(PowerState::kActive),
-                  &stats_.active_idle_threshold);
+    bucket_ = EnergyBucket::kActiveIdleThreshold;
+    time_slot_ = &stats_.active_idle_threshold;
   }
-  ArmPolicyTimer();
+  power_mw_ = model_->StatePowerMw(PowerState::kActive);
+  ArmPolicyTimer(when);
 }
 
-void MemoryChip::ArmPolicyTimer() {
+void MemoryChip::ArmPolicyTimer(Tick idle_since) {
   // See BeginTransfer: no step-down while a DMA transfer is in flight.
   if (fsm_.state() == PowerState::kActive && in_flight_transfers_ > 0) return;
   const auto step = policy_->NextStep(fsm_.state());
@@ -285,8 +300,8 @@ void MemoryChip::ArmPolicyTimer() {
   const std::uint64_t generation = ++timer_generation_;
   const PowerState expected_state = fsm_.state();
   const PowerState target = step->target;
-  simulator_->ScheduleAfter(step->after_idle, [this, generation,
-                                               expected_state, target]() {
+  simulator_->ScheduleAt(idle_since + step->after_idle.value(),
+                         [this, generation, expected_state, target]() {
     if (timer_generation_ != generation) return;  // Timer was cancelled.
     if (serving_ || fsm_.transitioning() || HasQueuedRequest()) return;
     if (fsm_.state() != expected_state) return;
@@ -362,7 +377,7 @@ void MemoryChip::TransitionDone() {
     if (HasQueuedRequest()) {
       StartNextService(/*retire_inline=*/true);
     } else {
-      BecomeIdleActive();
+      BecomeIdleActive(simulator_->Now());
     }
     return;
   }
@@ -375,7 +390,7 @@ void MemoryChip::TransitionDone() {
   }
   SetAccounting(EnergyBucket::kLowPower, model_->StatePowerMw(fsm_.state()),
                 &stats_.low_power[static_cast<int>(fsm_.state())]);
-  ArmPolicyTimer();
+  ArmPolicyTimer(simulator_->Now());
 }
 
 }  // namespace dmasim

@@ -166,6 +166,11 @@ class MemoryChip {
   int in_flight_transfers() const { return in_flight_transfers_; }
   int id() const { return id_; }
   std::size_t QueuedRequests() const { return queued_; }
+  // CPU accesses queued or in service: enqueued, not yet in stats().
+  std::size_t PendingCpuRequests() const {
+    return cpu_queue_.size() +
+           (serving_ && active_request_.kind == RequestKind::kCpu ? 1 : 0);
+  }
 
   // model().ServiceTime(bytes), remembered per request kind (see
   // ServiceMemo).
@@ -204,9 +209,10 @@ class MemoryChip {
   static PowerState RestingState(const LowPowerPolicy& policy);
 
  private:
-  // `retire_inline` allows ServeRequest to retire a chain of queued
-  // callback-free requests without events; only callers whose event ends
-  // right after the call may grant it (see ServeRequest).
+  // `retire_inline` allows ServeRequest to retire a chain of
+  // callback-free requests, its last included, without events; only
+  // callers whose event ends right after the call may grant it (see
+  // ServeRequest).
   void StartNextService(bool retire_inline);
   ChipRequest PopNextRequest();
   void SwitchToServingAccounting(RequestKind kind, ByteCount bytes) {
@@ -229,8 +235,10 @@ class MemoryChip {
   // Bumps the served counters for a request whose service completed.
   void CountServed(const ChipRequest& request);
   void ServeDone();
-  void BecomeIdleActive();
-  void ArmPolicyTimer();
+  // The chip falls idle at `when` (now, or an inline-retired completion
+  // ahead of the clock) and arms the policy timer from there.
+  void BecomeIdleActive(Tick when);
+  void ArmPolicyTimer(Tick idle_since);
   void StartWake();
   void StartStepDown(PowerState target);
   void TransitionDone();

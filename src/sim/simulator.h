@@ -99,6 +99,7 @@ class Simulator {
     loop_bound_ = kNoPendingEvent;
     while (StepEvent(kNoPendingEvent)) {
     }
+    now_ = std::max(now_, retired_until_);
   }
 
   // Runs events with timestamps <= `until`, then advances the clock to
@@ -112,7 +113,8 @@ class Simulator {
   }
 
   // Runs events with timestamps strictly < `bound` and stops, leaving the
-  // clock at the last executed event (it does NOT advance to `bound`).
+  // clock at the last executed event, retired ones included
+  // (CreditRetiredEvent); it does NOT advance to `bound`.
   // This is the shard-window primitive of the sharded engine: a shard may
   // execute everything before the conservative horizon, but its clock
   // must stay at its own last event so cross-shard deliveries scheduled
@@ -123,6 +125,7 @@ class Simulator {
     std::uint64_t ran = 0;
     if (bound > now_) {
       while (StepEvent(bound - 1)) ++ran;
+      now_ = std::max(now_, retired_until_);
     }
     return ran;
   }
@@ -224,6 +227,17 @@ class Simulator {
   void UncountExecuted() {
     DMASIM_CHECK_GT(executed_, 0u);
     --executed_;
+  }
+  // Credits one event that a fast path resolved inside the running one
+  // instead of scheduling it (chip inline retirement). `when` is where
+  // its pop would have moved the clock, before QuietUntil(). Nothing
+  // pops before it, so only the loop's end sees the difference: Run and
+  // RunEventsBefore leave the clock at least at `when`, as the pop would
+  // have; RunUntil ends at its bound, which is later.
+  void CreditRetiredEvent(Tick when) {
+    DMASIM_CHECK_LT(when, loop_bound_);
+    ++executed_;
+    retired_until_ = std::max(retired_until_, when);
   }
 
  private:
@@ -628,6 +642,8 @@ class Simulator {
   DMASIM_SHARD_LOCAL std::uint64_t last_sequence_ = 0;
   // The bound of the loop in progress (LoopBound).
   DMASIM_SHARD_LOCAL Tick loop_bound_ = kNoPendingEvent;
+  // The latest tick of a retired event (CreditRetiredEvent).
+  DMASIM_SHARD_LOCAL Tick retired_until_ = 0;
 };
 
 }  // namespace dmasim

@@ -27,6 +27,7 @@ class Ring {
   }
 
   bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
 
   void push_back(T&& value) {
     if (size_ == capacity_) Grow();

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/chip_audit_sink.h"
 #include "mem/chip_power_model.h"
 #include "mem/power_model.h"
 #include "mem/power_policy.h"
@@ -235,6 +236,177 @@ TEST_F(ChipFixture, InlineRetirementStopsAtTheWindowBound) {
     EXPECT_EQ(delivered.stats.wakeups, up_front.stats.wakeups);
     EXPECT_EQ(delivered.stats.dma_requests, 1u);
     EXPECT_EQ(delivered.stats.migration_requests, 9u);
+  }
+}
+
+// Chain-end retirement: a callback-free request that ends a chain (no
+// request queued behind it) and completes before the next pending event
+// falls idle inline. Each scenario runs twice: the retired run, and a
+// control with a no-op event just before the completion, which forces the
+// ServeDone event. The retired run's no-op sits just before the chain
+// starts instead, so both step it.
+struct ChainEndScenario {
+  const char* name;
+  const LowPowerPolicy* policy;
+  int requests;      // 64 B CPU accesses enqueued at tick 0.
+  Tick chain_start;  // The ServeDone or wake that serves the chain's end.
+  Tick completion;   // The chain end's completion.
+};
+
+// What one run of a chain-end scenario observed.
+struct ChainEndOutcome {
+  std::vector<std::uint64_t> energy_bits;
+  ChipStats stats;
+  Tick first_step_down = -1;  // Start of the first step-down.
+  Tick clock_after_loop = -1;  // Now() after the first Run or window.
+  Tick clock_at_end = -1;
+  std::uint64_t stepped = 0;
+  std::uint64_t executed = 0;
+  // What an event at the policy timer's own tick saw, one scheduled
+  // before the chain and one after it: whether the chip was stepping
+  // down.
+  std::vector<bool> stepping_at_timer_tick;
+};
+
+class StepDownRecorder final : public ChipAuditSink {
+ public:
+  void OnPowerTransition(int /*chip*/, PowerState /*from*/,
+                         PowerState /*to*/, bool up, Tick start,
+                         Tick /*end*/) override {
+    if (!up && first_step_down < 0) first_step_down = start;
+  }
+  void OnEnergyAccounted(int /*chip*/, EnergyBucket /*bucket*/,
+                         JoulesEnergy /*joules*/,
+                         Ticks /*duration*/) override {}
+  Tick first_step_down = -1;
+};
+
+// `window`: the first loop is RunEventsBefore(completion + 1), which
+// stops before anything past the completion, else Run().
+ChainEndOutcome RunChainEnd(const ChipPowerModel& chip_model,
+                            const ChainEndScenario& scenario,
+                            bool force_event, bool window) {
+  Simulator simulator;
+  MemoryChip chip(&simulator, &chip_model, scenario.policy, 0);
+  StepDownRecorder recorder;
+  chip.SetAuditSink(&recorder);
+  ChainEndOutcome outcome;
+  simulator.ScheduleAt(
+      force_event ? scenario.completion - 1 : scenario.chain_start - 1,
+      []() {});
+  for (int i = 0; i < scenario.requests; ++i) {
+    chip.Enqueue(ChipRequest{RequestKind::kCpu, ByteCount(64), {}});
+  }
+  const auto step = scenario.policy->NextStep(PowerState::kActive);
+  if (step.has_value()) {
+    const Tick timer = scenario.completion + step->after_idle.value();
+    const auto look = [&outcome, &chip]() {
+      outcome.stepping_at_timer_tick.push_back(chip.transitioning());
+    };
+    simulator.ScheduleAt(timer, look);
+    simulator.ScheduleAt(scenario.completion + 1,
+                         [&simulator, timer, look]() {
+                           simulator.ScheduleAt(timer, look);
+                         });
+  }
+  if (window) {
+    simulator.RunEventsBefore(scenario.completion + 1);
+  } else {
+    simulator.Run();
+  }
+  outcome.clock_after_loop = simulator.Now();
+  chip.SyncAccounting();  // Needs the clock at or past the chip's books.
+  simulator.Run();
+  outcome.clock_at_end = simulator.Now();
+  chip.SyncAccounting();
+  for (int b = 0; b < kEnergyBucketCount; ++b) {
+    outcome.energy_bits.push_back(std::bit_cast<std::uint64_t>(
+        chip.energy().Of(static_cast<EnergyBucket>(b)).joules()));
+  }
+  outcome.stats = chip.stats();
+  outcome.first_step_down = recorder.first_step_down;
+  outcome.stepped = simulator.SteppedEvents();
+  outcome.executed = simulator.ExecutedEvents();
+  return outcome;
+}
+
+void ExpectSameStats(const ChipStats& a, const ChipStats& b) {
+  EXPECT_EQ(a.dma_serving, b.dma_serving);
+  EXPECT_EQ(a.cpu_serving, b.cpu_serving);
+  EXPECT_EQ(a.migration_serving, b.migration_serving);
+  EXPECT_EQ(a.active_idle_dma, b.active_idle_dma);
+  EXPECT_EQ(a.active_idle_threshold, b.active_idle_threshold);
+  EXPECT_EQ(a.transition, b.transition);
+  for (int i = 0; i < kPowerStateCount; ++i) {
+    EXPECT_EQ(a.low_power[i], b.low_power[i]) << "power state " << i;
+  }
+  EXPECT_EQ(a.dma_requests, b.dma_requests);
+  EXPECT_EQ(a.cpu_requests, b.cpu_requests);
+  EXPECT_EQ(a.migration_requests, b.migration_requests);
+  EXPECT_EQ(a.migration_bytes, b.migration_bytes);
+  EXPECT_EQ(a.wakeups, b.wakeups);
+  EXPECT_EQ(a.step_downs, b.step_downs);
+}
+
+// A 64 B CPU access is served in 32 cycles (20 ns).
+constexpr Tick kCpuService = 32 * 625;
+
+TEST_F(ChipFixture, ChainEndRetirementMatchesThePerEventPath) {
+  // From powerdown, the wake serves the lone queued access; on an active
+  // chip, the first access's ServeDone serves the second. Only the
+  // always-active chip's ServeDone would be the run's last event.
+  const Tick wake = 6000 * kNanosecond;
+  const ChainEndScenario scenarios[] = {
+      {"wake", &dynamic_policy_, 1, wake, wake + kCpuService},
+      {"active", &active_policy_, 2, kCpuService, 2 * kCpuService},
+  };
+  for (const ChainEndScenario& scenario : scenarios) {
+    for (const bool window : {false, true}) {
+      SCOPED_TRACE(std::string(scenario.name) +
+                   (window ? ", window first" : ", run"));
+      const ChainEndOutcome control =
+          RunChainEnd(chip_model_, scenario, /*force_event=*/true, window);
+      const ChainEndOutcome retired =
+          RunChainEnd(chip_model_, scenario, /*force_event=*/false, window);
+      EXPECT_EQ(retired.energy_bits, control.energy_bits);
+      ExpectSameStats(retired.stats, control.stats);
+      EXPECT_EQ(retired.stats.cpu_requests,
+                static_cast<std::uint64_t>(scenario.requests));
+      EXPECT_EQ(retired.first_step_down, control.first_step_down);
+      EXPECT_EQ(retired.clock_after_loop, control.clock_after_loop);
+      EXPECT_EQ(retired.clock_at_end, control.clock_at_end);
+      EXPECT_EQ(retired.executed, control.executed);
+      EXPECT_EQ(retired.stepped + 1, control.stepped);
+    }
+  }
+  // The window stops at the completion in both runs, and the lone
+  // ServeDone ends the active chip's run there.
+  const ChainEndOutcome windowed = RunChainEnd(
+      chip_model_, scenarios[0], /*force_event=*/false, /*window=*/true);
+  EXPECT_EQ(windowed.clock_after_loop, scenarios[0].completion);
+  const ChainEndOutcome active = RunChainEnd(
+      chip_model_, scenarios[1], /*force_event=*/false, /*window=*/false);
+  EXPECT_EQ(active.clock_after_loop, scenarios[1].completion);
+  EXPECT_EQ(windowed.first_step_down,
+            scenarios[0].completion +
+                dynamic_policy_.NextStep(PowerState::kActive)
+                    ->after_idle.value());
+}
+
+TEST_F(ChipFixture, EventsOnTheStepDownTickKeepTheirOrderAgainstTheTimer) {
+  // The retired chain end's policy timer takes the sequence number its
+  // ServeDone would have had: an event scheduled for the timer's tick
+  // before the chain still runs before the step-down starts, and one
+  // scheduled after the chain runs after it.
+  const Tick wake = 6000 * kNanosecond;
+  const ChainEndScenario scenario{"wake", &dynamic_policy_, 1, wake,
+                                  wake + kCpuService};
+  for (const bool force_event : {true, false}) {
+    SCOPED_TRACE(force_event ? "control" : "retired");
+    const ChainEndOutcome outcome =
+        RunChainEnd(chip_model_, scenario, force_event, /*window=*/false);
+    EXPECT_EQ(outcome.stepping_at_timer_tick,
+              (std::vector<bool>{false, true}));
   }
 }
 

@@ -173,7 +173,38 @@ class Simulator {
     };
     const Tick held =
         holding_ && !skipped(held_) ? held_.when : kNoPendingEvent;
-    return std::min(held, CalendarTickSkipping(skipped));
+    if (!EnsureServing()) return held;
+    // The serving bucket is sorted from the cursor on (EnsureServing).
+    for (std::size_t i = serving_pos_; i < serving_.size(); ++i) {
+      if (!skipped(serving_[i])) return std::min(held, serving_[i].when);
+    }
+    const auto earliest_kept = [&skipped](const std::vector<Event>& events) {
+      Tick best = kNoPendingEvent;
+      for (const Event& event : events) {
+        if (event.when < best && !skipped(event)) best = event.when;
+      }
+      return best;
+    };
+    // Later level-0 buckets of the current span come in time order.
+    for (std::size_t slot =
+             NextSetBit(level0_bits_, (serving_bucket_ & (kBuckets - 1)) + 1);
+         slot < kBuckets; slot = NextSetBit(level0_bits_, slot + 1)) {
+      const Tick best = earliest_kept(level0_[slot]);
+      if (best != kNoPendingEvent) return std::min(held, best);
+    }
+    // Later spans: the level-1 window in order (it wraps the array), and
+    // the overflow list, which may hold spans at or before a level-1 slot.
+    const std::size_t first1 =
+        ((serving_bucket_ >> kBucketBits) + 1) & (kBuckets - 1);
+    Tick best = kNoPendingEvent;
+    for (std::size_t step = 0;
+         step + 1 < kBuckets && best == kNoPendingEvent; ++step) {
+      const std::size_t slot = (first1 + step) & (kBuckets - 1);
+      if (((level1_bits_[slot >> 6] >> (slot & 63)) & 1) != 0) {
+        best = earliest_kept(level1_[slot]);
+      }
+    }
+    return std::min({held, best, earliest_kept(overflow_)});
   }
 
   // Sequence number of the event executing now (of the last one popped,
@@ -241,44 +272,6 @@ class Simulator {
   }
 
  private:
-  // The calendar's part of NextPendingTickSkipping: the held event is
-  // the caller's.
-  template <typename Skipped>
-  Tick CalendarTickSkipping(const Skipped& skipped) {
-    if (!EnsureServing()) return kNoPendingEvent;
-    // The serving bucket is sorted from the cursor on (EnsureServing).
-    for (std::size_t i = serving_pos_; i < serving_.size(); ++i) {
-      if (!skipped(serving_[i])) return serving_[i].when;
-    }
-    const auto earliest_kept = [&skipped](const std::vector<Event>& events) {
-      Tick best = kNoPendingEvent;
-      for (const Event& event : events) {
-        if (event.when < best && !skipped(event)) best = event.when;
-      }
-      return best;
-    };
-    // Later level-0 buckets of the current span come in time order.
-    for (std::size_t slot =
-             NextSetBit(level0_bits_, (serving_bucket_ & (kBuckets - 1)) + 1);
-         slot < kBuckets; slot = NextSetBit(level0_bits_, slot + 1)) {
-      const Tick best = earliest_kept(level0_[slot]);
-      if (best != kNoPendingEvent) return best;
-    }
-    // Later spans: the level-1 window in order (it wraps the array), and
-    // the overflow list, which may hold spans at or before a level-1 slot.
-    const std::size_t first1 =
-        ((serving_bucket_ >> kBucketBits) + 1) & (kBuckets - 1);
-    Tick best = kNoPendingEvent;
-    for (std::size_t step = 0;
-         step + 1 < kBuckets && best == kNoPendingEvent; ++step) {
-      const std::size_t slot = (first1 + step) & (kBuckets - 1);
-      if (((level1_bits_[slot >> 6] >> (slot & 63)) & 1) != 0) {
-        best = earliest_kept(level1_[slot]);
-      }
-    }
-    return std::min(best, earliest_kept(overflow_));
-  }
-
   // Pops and executes the earliest pending event if it is due at or
   // before `last`; returns false, popping nothing, otherwise. Does not
   // touch the loop bound: the loops above set it.
@@ -488,21 +481,9 @@ class Simulator {
   }
 
   // Whether the held event (holding_) comes before the calendar's head
-  // in (when, sequence) order. Once the serving bucket is drained, every
-  // calendar event lies in a later bucket, so a held event in this bucket
-  // (or behind it) comes first without turning the wheel; turning it
-  // early would file the events the held one schedules behind the
-  // serving bucket.
+  // in (when, sequence) order.
   bool HeldPopsFirst() {
-    if (serving_pos_ < serving_ready_) {
-      return Earlier(held_, serving_[serving_pos_]);
-    }
-    if (serving_pos_ >= serving_.size() &&
-        (static_cast<std::uint64_t>(held_.when) >> kLevel0Bits) <=
-            serving_bucket_) {
-      return true;
-    }
-    return !AdvanceServing() || Earlier(held_, serving_[serving_pos_]);
+    return !EnsureServing() || Earlier(held_, serving_[serving_pos_]);
   }
 
   // Makes serving_[serving_pos_] the calendar's earliest event. Returns

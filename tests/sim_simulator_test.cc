@@ -8,6 +8,7 @@
 #include <queue>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -431,79 +432,67 @@ class SelfSchedulingHarness {
   std::vector<std::string> mismatches_;
 };
 
-// Drives a harness with Step, RunUntil, RunEventsBefore and peeks drawn at
-// random until its budget is spent and the queue drains. A sparse run
-// also bulk-loads the serving bucket twice; a dense one does not, since
-// a bucket full of later events sends most inserts to the sorted tail,
-// and dense runs are there for the in-place scan.
-void RunAgainstReferenceQueue(std::uint64_t seed, bool dense) {
-  SelfSchedulingHarness harness(seed, dense);
-  Simulator& simulator = harness.simulator();
-  // Two bulk loads into the serving bucket: the first event (at tick 0,
-  // a bucket start) spreads one across the whole bucket, and a later one
-  // lands wherever the run is after a few thousand pops.
-  harness.Schedule(0);
-  if (!dense) harness.ArmBulk(4096);
-  for (int i = 0; i < 64; ++i) harness.Schedule(harness.TierOffset());
-
-  int actions = 0;
-  bool second_bulk = dense;
-  while (harness.pending() > 0) {
-    ASSERT_LT(++actions, 1000000);
-    if (!second_bulk && harness.executed() >= 5000) {
-      harness.ArmBulk(4500);
-      second_bulk = true;
-    }
-    const std::uint64_t before = harness.executed();
-    switch (harness.rng().NextBounded(10)) {
-      case 0: case 1: case 2: case 3: case 4:
-        ASSERT_TRUE(simulator.Step());
-        EXPECT_EQ(harness.executed(), before + 1);
-        break;
-      case 5: case 6: {
-        const Tick until = simulator.Now() + harness.TierOffset();
-        simulator.RunUntil(until);
-        EXPECT_EQ(simulator.Now(), until);
-        EXPECT_GT(harness.NextReferenceTick(), until);
-        break;
-      }
-      case 7: case 8: {
-        const Tick bound = simulator.Now() + harness.TierOffset();
-        const std::uint64_t ran = simulator.RunEventsBefore(bound);
-        EXPECT_EQ(ran, harness.executed() - before);
-        EXPECT_GE(harness.NextReferenceTick(), bound);
-        break;
-      }
-      default:
-        EXPECT_EQ(simulator.NextPendingTick(), harness.NextReferenceTick());
-        break;
-    }
-    EXPECT_EQ(simulator.PendingEvents(), harness.pending());
-    EXPECT_EQ(simulator.ExecutedEvents(), harness.executed());
-    EXPECT_EQ(simulator.SteppedEvents(), harness.executed());
-    ASSERT_TRUE(harness.mismatches().empty())
-        << harness.mismatches().size() << " mismatches; first: "
-        << harness.mismatches().front();
-  }
-  EXPECT_TRUE(second_bulk);
-  EXPECT_FALSE(simulator.Step());
-  EXPECT_GE(harness.executed(), 30000u);
-}
-
 TEST(SimulatorCalendarTest, SelfSchedulingMatchesReferenceQueue) {
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+  // Seeds 4-6 are dense: three in four children land 0..3 ticks ahead,
+  // so the held event is displaced into the serving bucket all the time,
+  // often onto a tick where events scheduled after it already wait. They
+  // skip the bulk loads, which fill the bucket with later events and send
+  // most inserts to the sorted tail instead of the in-place scan.
+  for (const auto& [seed, dense] :
+       {std::pair{1u, false}, std::pair{2u, false}, std::pair{3u, false},
+        std::pair{4u, true}, std::pair{5u, true}, std::pair{6u, true}}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    RunAgainstReferenceQueue(seed, /*dense=*/false);
-  }
-}
+    SelfSchedulingHarness harness(seed, dense);
+    Simulator& simulator = harness.simulator();
+    // Two bulk loads into the serving bucket: the first event (at tick 0,
+    // a bucket start) spreads one across the whole bucket, and a later one
+    // lands wherever the run is after a few thousand pops.
+    harness.Schedule(0);
+    if (!dense) harness.ArmBulk(4096);
+    for (int i = 0; i < 64; ++i) harness.Schedule(harness.TierOffset());
 
-TEST(SimulatorCalendarTest, SameTickSchedulingMatchesReferenceQueue) {
-  // Three in four children land 0..3 ticks ahead: the held event is
-  // displaced into the serving bucket all the time, often onto a tick
-  // where events scheduled after it already wait.
-  for (const std::uint64_t seed : {4u, 5u, 6u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    RunAgainstReferenceQueue(seed, /*dense=*/true);
+    int actions = 0;
+    bool second_bulk = dense;
+    while (harness.pending() > 0) {
+      ASSERT_LT(++actions, 1000000);
+      if (!second_bulk && harness.executed() >= 5000) {
+        harness.ArmBulk(4500);
+        second_bulk = true;
+      }
+      const std::uint64_t before = harness.executed();
+      switch (harness.rng().NextBounded(10)) {
+        case 0: case 1: case 2: case 3: case 4:
+          ASSERT_TRUE(simulator.Step());
+          EXPECT_EQ(harness.executed(), before + 1);
+          break;
+        case 5: case 6: {
+          const Tick until = simulator.Now() + harness.TierOffset();
+          simulator.RunUntil(until);
+          EXPECT_EQ(simulator.Now(), until);
+          EXPECT_GT(harness.NextReferenceTick(), until);
+          break;
+        }
+        case 7: case 8: {
+          const Tick bound = simulator.Now() + harness.TierOffset();
+          const std::uint64_t ran = simulator.RunEventsBefore(bound);
+          EXPECT_EQ(ran, harness.executed() - before);
+          EXPECT_GE(harness.NextReferenceTick(), bound);
+          break;
+        }
+        default:
+          EXPECT_EQ(simulator.NextPendingTick(), harness.NextReferenceTick());
+          break;
+      }
+      EXPECT_EQ(simulator.PendingEvents(), harness.pending());
+      EXPECT_EQ(simulator.ExecutedEvents(), harness.executed());
+      EXPECT_EQ(simulator.SteppedEvents(), harness.executed());
+      ASSERT_TRUE(harness.mismatches().empty())
+          << harness.mismatches().size() << " mismatches; first: "
+          << harness.mismatches().front();
+    }
+    EXPECT_TRUE(second_bulk);
+    EXPECT_FALSE(simulator.Step());
+    EXPECT_GE(harness.executed(), 30000u);
   }
 }
 
